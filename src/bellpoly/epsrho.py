@@ -17,7 +17,9 @@ the outcome is up exactly when the break point falls below that position.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,9 +33,11 @@ SQRT2 = math.sqrt(2.0)
 #: cos 45 degrees, the coincidence geometry that maximizes the statistic
 COS_45 = math.cos(math.pi / 4.0)
 
-#: Monte Carlo chunk size; must stay even so chunk starts align with the
-#: per-trial stream positions (trial i consumes stream doubles 2i and 2i+1)
+#: Monte Carlo trials per fill of each thread's reused buffers; even, so chunk
+#: starts align with the stream (trial i consumes doubles 2i and 2i+1)
 MC_CHUNK = 1 << 16
+
+_buffers = threading.local()  # each caller thread's draw buffers, reused across calls
 
 
 class DegenerateParameterError(ValueError):
@@ -186,17 +190,33 @@ def simulate_pair(
     u_aux = rng.random()
     left_up = u_left < 0.5
     x = -params.rho * dirs.cos_ab if left_up else params.rho * dirs.cos_ab
-    if params.eps > 0.0:
-        gamma = -params.eps + 2.0 * params.eps * u_aux
-        right_up = gamma < x
-    else:
-        gamma = 0.0
-        right_up = x > 0.0 or (x == 0.0 and u_aux < 0.5)
-    return TrialOutcome(
-        "up" if left_up else "down",
-        "up" if right_up else "down",
-        gamma,
-    )
+    gamma = -params.eps + 2.0 * params.eps * u_aux if params.eps > 0.0 else 0.0
+    right_up = _right_up(params.eps, x, u_aux)
+    return TrialOutcome("up" if left_up else "down", "up" if right_up else "down", gamma)
+
+
+def _right_up(eps: float, x: float, u: float) -> bool:
+    """Outcome predicate of the second side for auxiliary uniform u."""
+    if eps > 0.0:
+        return -eps + 2.0 * eps * u < x
+    return x > 0.0 or (x == 0.0 and u < 0.5)
+
+
+@functools.lru_cache(maxsize=1024)
+def _threshold(eps: float, x: float) -> float:
+    """The cut T with _right_up(eps, x, u) == (u < T) for every uniform u.
+
+    A uniform is u = k * 2^-53, and IEEE multiply by a positive value and
+    IEEE add are monotone, so the predicate is monotone in k: bisect k.
+    """
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _right_up(eps, x, mid * 2.0**-53):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo * 2.0**-53
 
 
 def _product_sum(
@@ -210,8 +230,10 @@ def _product_sum(
 ) -> int:
     """Exact integer sum of the +/-1 outcome products for the given trials.
 
-    Trial i draws stream doubles 2i and 2i+1 of Philox(key=seed), so any
-    even-aligned chunking or ordering reproduces identical results.
+    Trial i draws stream doubles 2i and 2i+1 of Philox(key=seed), as in
+    simulate_pair, so any even-aligned cut of the trials gives the same sum.
+    The run stays on the caller's thread, so its time does not hinge on a
+    second CPU being free.
     """
     if chunk % 2 or chunk <= 0:
         raise ValueError("chunk size must be a positive even integer")
@@ -219,25 +241,23 @@ def _product_sum(
         raise ValueError("base_trial must be even to align with the stream")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    x_when_up = -rho * cos_ab
-    total = 0
-    done = 0
-    while done < trials:
+    t_up, t_dn = _threshold(eps, -rho * cos_ab), _threshold(eps, rho * cos_ab)
+    size = min(chunk, trials)  # short runs keep short buffers
+    u, flags = getattr(_buffers, "arrays", (np.empty(0), None))
+    if u.size < 2 * size:
+        u, flags = _buffers.arrays = np.empty(2 * size), np.empty((2, size), bool)
+    gen = Generator(Philox(key=seed).advance(base_trial // 2))  # a step skips four doubles
+    agree = 0
+    for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
-        start = base_trial + done
-        bits = Philox(key=seed)
-        bits.advance((2 * start) // 4)  # advance() skips four doubles per step
-        u = Generator(bits).random(2 * m)
-        left_up = u[0::2] < 0.5
-        x = np.where(left_up, x_when_up, -x_when_up)
-        aux = u[1::2]
-        if eps > 0.0:
-            right_up = (-eps + 2.0 * eps * aux) < x
-        else:
-            right_up = (x > 0.0) | ((x == 0.0) & (aux < 0.5))
-        total += 2 * int(np.count_nonzero(left_up == right_up)) - m
-        done += m
-    return total
+        gen.random(out=u[: 2 * m])
+        left_up = np.less(u[0 : 2 * m : 2], 0.5, out=flags[0, :m])
+        aux = u[1 : 2 * m : 2]
+        right_up = np.less(aux, t_up, out=flags[1, :m])  # given left up
+        agree += np.count_nonzero(np.logical_and(left_up, right_up, out=right_up))
+        right_up = np.less(aux, t_dn, out=flags[1, :m])  # given left down
+        agree += m - np.count_nonzero(np.logical_or(left_up, right_up, out=right_up))
+    return 2 * int(agree) - trials
 
 
 def _mean_and_stderr(total: int, trials: int) -> tuple[float, float]:
@@ -315,7 +335,8 @@ def sweep(
     estimate (four independent runs of `trials` coincidences each) and the
     root-sum-square of the four standard errors. All cells draw from one
     long Philox(key=seed) stream indexed by a global trial counter, so the
-    output is bit-identical for any worker count or evaluation order.
+    output is bit-identical for any chunking, CPU count or evaluation order;
+    each run is one serial pass on the caller's thread.
     """
     if len(rho_grid) == 0 or len(eps_grid) == 0:
         raise ValueError("grids must be nonempty")
@@ -338,16 +359,9 @@ def sweep(
             mc_chsh = mc_stderr = None
             if trials:
                 cell = r_idx * len(eps_grid) + e_idx
-                stats = [
-                    _mean_and_stderr(
-                        _product_sum(
-                            rho, eps, c, trials, seed,
-                            base_trial=(cell * 4 + k) * stride,
-                        ),
-                        trials,
-                    )
-                    for k, c in enumerate(SWEEP_COSINES)
-                ]
+                starts = [(cell * 4 + k) * stride for k in range(len(SWEEP_COSINES))]
+                stats = [_mean_and_stderr(_product_sum(rho, eps, c, trials, seed, b), trials)
+                         for c, b in zip(SWEEP_COSINES, starts)]
                 (m_ab, s_ab), (m_ab2, s_ab2), (m_a2b, s_a2b), (m_a2b2, s_a2b2) = stats
                 mc_chsh = abs(m_ab - m_ab2) + abs(m_a2b + m_a2b2)
                 mc_stderr = math.sqrt(s_ab**2 + s_ab2**2 + s_a2b**2 + s_a2b2**2)

@@ -77,7 +77,10 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    return loads_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loads_scenario(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def scenario_from_dict(data) -> Scenario:
@@ -126,9 +129,10 @@ def scenario_from_dict(data) -> Scenario:
         raise ScenarioFormatError("field pairs: expected a list of [i, j] pairs")
     pairs = []
     for entry in raw_pairs:
-        if not (isinstance(entry, list) and len(entry) == 2):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(i) is int for i in entry)):  # type(): no bools
             raise ScenarioFormatError(f"field pairs: bad entry {entry!r}")
-        pairs.append((int(entry[0]), int(entry[1])))
+        pairs.append(tuple(entry))
     raw_singles = data["singles"]
     if not isinstance(raw_singles, dict):
         raise ScenarioFormatError("field singles: expected an object")

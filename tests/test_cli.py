@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -228,6 +229,21 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == self.HEADER + ",mc_chsh,mc_stderr"
 
+    def test_bytes_independent_of_cpu_count(self):
+        # the bytes must not depend on how many CPUs the process may use
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("needs at least two usable CPUs")
+        cmd = [sys.executable, "-m", "bellpoly.cli", "sweep", "--rho-steps", "5",
+               "--eps-steps", "5", "--trials", "20001", "--seed", "7"]
+        pinned = subprocess.run(
+            cmd, capture_output=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpus[0]})
+        )
+        free = subprocess.run(cmd, capture_output=True)
+        assert pinned.returncode == free.returncode == 0
+        assert pinned.stdout == free.stdout
+        assert len(free.stdout.splitlines()) == 26
+
     def test_step_count_validation(self):
         assert run_cli("sweep", "--rho-steps", "1", "--eps-steps", "5").returncode == 2
 
@@ -348,6 +364,28 @@ class TestScenarioIO:
                 "name": "x", "kind": "explicit", "n": 2, "pairs": [[1, 2]],
                 "singles": {"1": 0, "2": 0}, "joints": {"1;2": 0},
             }))
+
+    @pytest.mark.parametrize("entry", ['["a", 3]', "[null, 3]", "[1.5, 3]", "[true, 3]"],
+                             ids=["string", "null", "float", "bool"])
+    def test_pair_entries_must_be_integers(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"name": "x", "kind": "explicit", "n": 4, "pairs": [%s], '
+            '"singles": {"1": 0.5, "2": 0.5, "3": 0.5, "4": 0.5}, "joints": {"1,3": 0.25}}'
+            % entry
+        )
+        proc = run_cli("membership", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "field pairs: bad entry" in proc.stderr
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "café"}'.encode("latin-1"))
+        proc = run_cli("membership", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not UTF-8" in proc.stderr
 
     def test_colliding_keys_rejected(self):
         with pytest.raises(ScenarioFormatError):

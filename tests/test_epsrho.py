@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,10 +22,13 @@ from bellpoly import (
 )
 from bellpoly.epsrho import (
     COS_45,
+    MC_CHUNK,
     DegenerateParameterError,
     SQRT2,
     _product_sum,
     _regime,
+    _right_up,
+    _threshold,
 )
 
 C45 = COS_45
@@ -203,6 +208,135 @@ class TestSimulatePair:
         rng = Generator(Philox(key=seed))
         serial = sum(simulate_pair(p, d, rng).product for _ in range(n))
         assert serial == _product_sum(p.rho, p.eps, d.cos_ab, n, seed)
+
+
+def clean_room_product_sum(rho, eps, cos_ab, trials, seed, base_trial=0):
+    """The per-trial stream contract, written out from its statement alone.
+
+    Trial i reads raw outputs 2i and 2i+1 of Philox(key=seed), where a
+    counter step yields four raw outputs; each double is the top 53 bits of
+    one raw output times 2^-53. The first side is up iff u_2i < 0.5, which
+    puts the second entity at x = -rho*cos_ab (else +rho*cos_ab); the second
+    side is up iff (-eps + 2.0*eps*u_2i+1) < x, or for eps = 0 iff x > 0, or
+    x == 0 and u_2i+1 < 0.5. The sum is over the products (+1 when they agree).
+    """
+    assert base_trial % 2 == 0
+    raw = Philox(key=seed, counter=base_trial // 2).random_raw(2 * trials)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    left_up = u[0::2] < 0.5
+    x = np.where(left_up, -rho * cos_ab, rho * cos_ab)
+    aux = u[1::2]
+    if eps > 0.0:
+        right_up = (-eps + 2.0 * eps * aux) < x
+    else:
+        right_up = (x > 0.0) | ((x == 0.0) & (aux < 0.5))
+    return int(np.where(left_up == right_up, 1, -1).sum())
+
+
+class TestStreamContract:
+    """_product_sum against the clean-room stream, bit for bit."""
+
+    EDGE = [
+        (0.5, 0.0, -0.6),  # eps = 0, x > 0 when the first side is up
+        (0.5, 0.0, 0.6),  # eps = 0, x < 0 when the first side is up
+        (0.5, 0.0, 0.0),  # eps = 0, x = -0.0 / +0.0
+        (0.5, 0.0, -0.0),  # eps = 0, x = +0.0 / -0.0
+        (0.0, 0.0, 1.0),  # eps = 0, no reach
+        (0.5, 0.25, 0.5),  # rho*c exactly +eps
+        (0.5, 0.25, -0.5),  # rho*c exactly -eps
+        (1.0, 1e-300, 0.3),  # eps = 1e-300: subnormal products
+        (1e-300, 1e-300, 1.0),  # rho*c = eps at the bottom of the range
+        (1.0, 1.0, 1.0),
+        (1.0, 1.0, -1.0),
+        (0.9, 0.7, COS_45),
+    ]
+
+    @pytest.mark.parametrize("rho, eps, cos_ab", EDGE)
+    @pytest.mark.parametrize(
+        "trials, base_trial, chunk",
+        [
+            (1, 0, MC_CHUNK),
+            (7, 2, MC_CHUNK),  # odd trial count
+            (999, 0, 10),  # not a multiple of the buffer size
+            (MC_CHUNK + 3, 2**40, MC_CHUNK),  # two fills, large base_trial
+            (16385, 2**62, 998),  # many fills, base_trial near the stream's end
+        ],
+    )
+    def test_edge_cases(self, rho, eps, cos_ab, trials, base_trial, chunk):
+        expected = clean_room_product_sum(rho, eps, cos_ab, trials, 77, base_trial)
+        got = _product_sum(rho, eps, cos_ab, trials, 77, base_trial, chunk=chunk)
+        assert got == expected
+
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(20001)
+        for case in range(600):
+            rho = float(rng.random())
+            eps = float(rng.random()) * float(rng.choice([1.0, 1e-3, 1e-300, 0.0]))
+            cos_ab = float(rng.uniform(-1.0, 1.0))
+            if case % 10 == 0:
+                eps = rho * abs(cos_ab)  # the outcome sits on the saturation edge
+            big = case % 50 == 0  # a few long runs
+            trials = int(rng.integers(1, 40960 if big else 3000))
+            seed = int(rng.integers(0, 2**63))
+            base_trial = 2 * int(rng.integers(0, 2**61))
+            chunk = 2 * int(rng.integers(1, 600))
+            expected = clean_room_product_sum(rho, eps, cos_ab, trials, seed, base_trial)
+            got = _product_sum(rho, eps, cos_ab, trials, seed, base_trial, chunk=chunk)
+            assert got == expected, (rho, eps, cos_ab, trials, seed, base_trial, chunk)
+
+    def test_threshold_is_the_exact_cut(self):
+        rng = np.random.default_rng(8)
+        cases = [(eps, x) for eps in (0.0, 1e-300, 0.25, 1.0) for x in (-0.3, -0.0, 0.0, 0.25)]
+        cases += [(float(rng.random()), float(rng.uniform(-1, 1))) for _ in range(200)]
+        for eps, x in cases:
+            t = _threshold(eps, x)
+            assert t == 0.0 or _right_up(eps, x, t - 2.0**-53)
+            assert t == 1.0 or not _right_up(eps, x, t)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("left_up", [True, False])
+    def test_draw_on_the_cut(self, seed, left_up):
+        # eps = 0.5 makes -eps + 2*eps*u = u - 0.5 exact for u >= 0.25, so
+        # placing the entity at a - 0.5 puts the cut exactly on a drawn u = a
+        u = (Philox(key=seed).random_raw(64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        i = next(i for i in range(32) if u[2 * i + 1] >= 0.25 and (u[2 * i] < 0.5) == left_up)
+        a = u[2 * i + 1]
+        cos_ab = 0.5 - a if left_up else a - 0.5
+        base = i - i % 2
+        expected = clean_room_product_sum(1.0, 0.5, cos_ab, 2, seed, base)
+        assert _product_sum(1.0, 0.5, cos_ab, 2, seed, base) == expected
+
+    def test_additive_over_even_splits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            rho, eps, cos_ab = float(rng.random()), float(rng.random()), float(rng.uniform(-1, 1))
+            trials = int(rng.integers(2, 24576))
+            base = 2 * int(rng.integers(0, 2**40))
+            split = 2 * int(rng.integers(0, trials // 2 + 1))
+            whole = _product_sum(rho, eps, cos_ab, trials, 3, base)
+            parts = _product_sum(rho, eps, cos_ab, split, 3, base) + _product_sum(
+                rho, eps, cos_ab, trials - split, 3, base + split
+            )
+            assert whole == parts
+
+    def test_concurrent_callers(self):
+        # each caller thread keeps its own draw buffers
+        cases = [(0.1 * k, 0.55, 0.7, 24576 + k, k, 2 * k) for k in range(8)]
+        expected = [clean_room_product_sum(*c) for c in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                got = list(callers.map(lambda c: _product_sum(*c), cases * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 3
+
+    def test_same_sum_on_one_cpu(self, monkeypatch):
+        args = (0.8, 0.6, -0.3, 32773, 12, 2**33)
+        unpinned = _product_sum(*args)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _product_sum(*args) == unpinned == clean_room_product_sum(*args)
 
 
 class TestMonteCarloExpectation:
