@@ -1,122 +1,62 @@
 """Bell-type inequality statistics, correlation-polytope membership, and the
-rho-eps measurement model."""
+rho-eps measurement model.
+
+Only the main entry points and the error types are re-exported here; the
+rest is imported from its submodule (bellpoly.core, bellpoly.pitowsky, ...)."""
 
 from .core import (
-    BELL3_SHAPE,
-    CH_COMBINATIONS,
-    CH_SHAPE,
     CapacityError,
-    CHCombination,
-    CorrelationVector,
-    ExpectationSet,
-    JointOutcomeDistribution,
-    Prob,
     Scenario,
     ShapeError,
-    TOL,
     ValidationError,
     bell3_vector,
     ch_shape_vector,
     chsh_statistic,
     clauser_horne_statistic,
-    expectation_from_joint,
 )
 from .epsrho import (
     EpsRhoParams,
     MeasurementDirections,
-    SweepRow,
-    TrialOutcome,
     chsh_closed_form,
     closed_form_expectation,
-    conditional_up_probability,
     monte_carlo_expectation,
-    simulate_pair,
     sweep,
     violation_boundary,
 )
-from .models import (
-    DISTINGUISHED_PAIRS,
-    SingletConfig,
-    ch_violation_config,
-    concept_scenario,
-    distinguish_events,
-    maximal_violation_config,
-    singlet_ch_vector,
-    singlet_scenario,
-    spin_distinguished_marginal,
-    vessels_scenario,
-)
+from .models import distinguish_events, vessels_scenario
 from .pitowsky import (
-    InequalityResult,
-    KolmogorovRep,
-    MembershipResult,
-    NoRepresentationError,
-    VertexSet,
     bell_inequality_set_n3,
     ch_inequality_set,
     enumerate_vertices,
     membership,
-    membership_problem,
     product_representation,
     verify_representation,
 )
-from .simplex import DegeneracyError, FeasibilityProblem, lp_feasible
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BELL3_SHAPE",
-    "CH_COMBINATIONS",
-    "CH_SHAPE",
-    "CHCombination",
     "CapacityError",
-    "CorrelationVector",
-    "DISTINGUISHED_PAIRS",
-    "DegeneracyError",
     "EpsRhoParams",
-    "ExpectationSet",
-    "FeasibilityProblem",
-    "InequalityResult",
-    "JointOutcomeDistribution",
-    "KolmogorovRep",
     "MeasurementDirections",
-    "MembershipResult",
-    "NoRepresentationError",
-    "Prob",
     "Scenario",
     "ShapeError",
-    "SingletConfig",
-    "SweepRow",
-    "TOL",
-    "TrialOutcome",
     "ValidationError",
-    "VertexSet",
     "bell3_vector",
     "bell_inequality_set_n3",
     "ch_inequality_set",
     "ch_shape_vector",
-    "ch_violation_config",
     "chsh_closed_form",
     "chsh_statistic",
     "clauser_horne_statistic",
     "closed_form_expectation",
-    "concept_scenario",
-    "conditional_up_probability",
     "distinguish_events",
     "enumerate_vertices",
-    "expectation_from_joint",
-    "lp_feasible",
-    "maximal_violation_config",
     "membership",
-    "membership_problem",
     "monte_carlo_expectation",
     "product_representation",
-    "simulate_pair",
-    "singlet_ch_vector",
-    "singlet_scenario",
-    "spin_distinguished_marginal",
     "sweep",
-    "vessels_scenario",
     "verify_representation",
     "violation_boundary",
+    "vessels_scenario",
 ]

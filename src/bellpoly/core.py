@@ -72,35 +72,6 @@ def _check_expectation(value: Prob, name: str, tol: float = TOL) -> None:
 
 
 @dataclass(frozen=True)
-class JointOutcomeDistribution:
-    """Outcome distribution of one coincidence experiment.
-
-    The four cells are P(up, up), P(up, down), P(down, up), P(down, down);
-    they must each lie in [0, 1] and sum to 1 within tolerance.
-    """
-
-    p_uu: Prob
-    p_ud: Prob
-    p_du: Prob
-    p_dd: Prob
-
-    def __post_init__(self) -> None:
-        for name in ("p_uu", "p_ud", "p_du", "p_dd"):
-            check_probability(getattr(self, name), name)
-        total = self.p_uu + self.p_ud + self.p_du + self.p_dd
-        if abs(total - 1) > TOL:
-            raise ValidationError(f"outcome probabilities sum to {total!r}, expected 1")
-
-
-def expectation_from_joint(d: JointOutcomeDistribution) -> Prob:
-    """Expectation value of the +/-1 outcome product: p_uu + p_dd - p_ud - p_du.
-
-    Equals 2 * (p_uu + p_dd) - 1 and always lies in [-1, +1].
-    """
-    return d.p_uu + d.p_dd - d.p_ud - d.p_du
-
-
-@dataclass(frozen=True)
 class ExpectationSet:
     """The four coincidence expectation values entering the CHSH statistic."""
 
@@ -167,19 +138,6 @@ class CorrelationVector:
         return [self.singles[i] for i in range(1, self.n + 1)] + [
             self.joints[p] for p in self.pairs
         ]
-
-    def as_exact(self) -> "CorrelationVector":
-        """Copy with every component converted to an exact Fraction."""
-        return CorrelationVector(
-            self.n,
-            self.pairs,
-            {i: as_fraction(v) for i, v in self.singles.items()},
-            {p: as_fraction(v) for p, v in self.joints.items()},
-        )
-
-    @property
-    def dimension(self) -> int:
-        return self.n + len(self.pairs)
 
 
 #: pair set of the standard 2x2 coincidence layout (left events 1,2; right 3,4)

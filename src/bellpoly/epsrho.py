@@ -40,10 +40,6 @@ MC_CHUNK = 1 << 16
 _buffers = threading.local()  # each caller thread's draw buffers, reused across calls
 
 
-class DegenerateParameterError(ValueError):
-    """eps = 0 leaves the conditional break probability undefined."""
-
-
 @dataclass(frozen=True)
 class EpsRhoParams:
     """Correlation reach rho and elastic half-width eps, both in [0, 1]."""
@@ -74,42 +70,6 @@ class MeasurementDirections:
     def from_angle(cls, radians: float) -> "MeasurementDirections":
         return cls(math.cos(radians))
 
-    @classmethod
-    def from_vectors(cls, a: Sequence[float], b: Sequence[float]) -> "MeasurementDirections":
-        na = math.sqrt(sum(x * x for x in a))
-        nb = math.sqrt(sum(x * x for x in b))
-        if na == 0.0 or nb == 0.0:
-            raise ValidationError("measurement directions must be nonzero vectors")
-        dot = sum(x * y for x, y in zip(a, b))
-        return cls(dot / (na * nb))
-
-
-@dataclass(frozen=True)
-class ModelState:
-    """Positions of the two entities relative to their sphere centers c, -c."""
-
-    s1: tuple[float, float, float]
-    s2: tuple[float, float, float]
-    c: tuple[float, float, float]
-
-    def within_reach(self, rho: float) -> bool:
-        d1 = math.dist(self.s1, self.c)
-        d2 = math.dist(self.s2, tuple(-x for x in self.c))
-        return d1 <= rho + 1e-12 and d2 <= rho + 1e-12
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated coincidence: both outcomes and the elastic break point."""
-
-    left: str   # "up" or "down"
-    right: str  # "up" or "down"
-    break_point: float
-
-    @property
-    def product(self) -> int:
-        return 1 if self.left == self.right else -1
-
 
 def closed_form_expectation(params: EpsRhoParams, cos_ab: float) -> float:
     """Coincidence expectation of the model.
@@ -132,19 +92,6 @@ def closed_form_expectation(params: EpsRhoParams, cos_ab: float) -> float:
     if x <= -params.eps:
         return 1.0
     return -x / params.eps + 0.0  # + 0.0 normalizes IEEE negative zero
-
-
-def conditional_up_probability(params: EpsRhoParams, cos_ab: float) -> float:
-    """P(second outcome = up) given the first came out up.
-
-    (eps - rho*c) / (2 eps), clamped to {0, 1} when the projection lands on
-    an unbreakable segment. Undefined at eps = 0 (use the sign rule of
-    closed_form_expectation instead).
-    """
-    if params.eps == 0.0:
-        raise DegenerateParameterError("eps = 0: outcome is set by the projection sign")
-    x = params.rho * cos_ab
-    return min(1.0, max(0.0, (params.eps - x) / (2.0 * params.eps)))
 
 
 def chsh_closed_form(params: EpsRhoParams) -> float:
@@ -172,27 +119,6 @@ def violation_boundary(rho: float) -> float:
     if rho == 0.0:
         return 0.0
     return min(SQRT2 * rho, 1.0)
-
-
-def simulate_pair(
-    params: EpsRhoParams, dirs: MeasurementDirections, rng: Generator
-) -> TrialOutcome:
-    """Simulate one coincidence measurement; consumes exactly two uniforms.
-
-    The first side comes out up or down with probability one half; the rod
-    sets the second entity to -/+ rho*a accordingly, so its projection on
-    the second axis is x = -/+ rho*(a.b). The elastic break point is uniform
-    on [-eps, eps] and the second outcome is up iff the break point falls
-    strictly below x (ties resolve to down). eps = 0 uses the sign of x,
-    with a fair coin at x = 0.
-    """
-    u_left = rng.random()
-    u_aux = rng.random()
-    left_up = u_left < 0.5
-    x = -params.rho * dirs.cos_ab if left_up else params.rho * dirs.cos_ab
-    gamma = -params.eps + 2.0 * params.eps * u_aux if params.eps > 0.0 else 0.0
-    right_up = _right_up(params.eps, x, u_aux)
-    return TrialOutcome("up" if left_up else "down", "up" if right_up else "down", gamma)
 
 
 def _right_up(eps: float, x: float, u: float) -> bool:
@@ -230,10 +156,15 @@ def _product_sum(
 ) -> int:
     """Exact integer sum of the +/-1 outcome products for the given trials.
 
-    Trial i draws stream doubles 2i and 2i+1 of Philox(key=seed), as in
-    simulate_pair, so any even-aligned cut of the trials gives the same sum.
-    The run stays on the caller's thread, so its time does not hinge on a
-    second CPU being free.
+    The per-trial stream contract: trial i (counted from base_trial) draws
+    u[2i] and u[2i+1], doubles 2i and 2i+1 of Philox(key=seed). The first
+    side is up iff u[2i] < 0.5, which puts the second entity at
+    x = -rho*cos_ab (else +rho*cos_ab). The elastic breaks at
+    -eps + 2*eps*u[2i+1], and the second side is up iff that break point is
+    strictly below x (a tie comes out down); at eps = 0 it is up iff x > 0,
+    with u[2i+1] < 0.5 as the fair coin at x = 0. So any even-aligned cut of
+    the trials gives the same sum. The run stays on the caller's thread, so
+    its time does not hinge on a second CPU being free.
     """
     if chunk % 2 or chunk <= 0:
         raise ValueError("chunk size must be a positive even integer")
@@ -272,8 +203,6 @@ def monte_carlo_expectation(
     dirs: MeasurementDirections,
     trials: int,
     seed: int,
-    *,
-    chunk: int = MC_CHUNK,
 ) -> tuple[float, float]:
     """Estimate the coincidence expectation by simulation.
 
@@ -283,7 +212,7 @@ def monte_carlo_expectation(
     """
     if trials < 1:
         raise ValueError(f"trials = {trials} must be at least 1")
-    total = _product_sum(params.rho, params.eps, dirs.cos_ab, trials, seed, chunk=chunk)
+    total = _product_sum(params.rho, params.eps, dirs.cos_ab, trials, seed)
     return _mean_and_stderr(total, trials)
 
 

@@ -21,9 +21,6 @@ from .core import (
     require_shape,
 )
 
-#: the four coincidence pairings (left experiment, right experiment)
-CH_PAIRINGS: tuple[tuple[int, int], ...] = ((1, 3), (1, 4), (2, 3), (2, 4))
-
 #: pair set of a distinguished vector: event k of pairing (i, j) meets its
 #: mirror event on the other side, giving four index-disjoint pairs
 DISTINGUISHED_PAIRS: tuple[tuple[int, int], ...] = ((1, 5), (2, 7), (3, 6), (4, 8))
@@ -92,12 +89,12 @@ def singlet_scenario(cfg: SingletConfig, name: str = "singlet") -> Scenario:
     """
     angles = {f"a{k}": getattr(cfg, f"a{k}") for k in range(1, 5)}
     joint = {
-        (i, j): singlet_joint_up_up(cfg.angle(i, j)) for i, j in CH_PAIRINGS
+        (i, j): singlet_joint_up_up(cfg.angle(i, j)) for i, j in CH_SHAPE
     }
     expectations = ExpectationSet(
-        *(singlet_expectation(cfg.angle(i, j)) for i, j in CH_PAIRINGS)
+        *(singlet_expectation(cfg.angle(i, j)) for i, j in CH_SHAPE)
     )
-    vector = ch_shape_vector(0.5, 0.5, 0.5, 0.5, *(joint[p] for p in CH_PAIRINGS))
+    vector = ch_shape_vector(0.5, 0.5, 0.5, 0.5, *(joint[p] for p in CH_SHAPE))
     return Scenario(name, "singlet", angles=angles, vector=vector, expectations=expectations)
 
 
@@ -158,7 +155,7 @@ def distinguish_events(
     v = scenario.vector
     require_shape(v, 4, CH_SHAPE)
     w = pairing_weight
-    p13, p14, p23, p24 = (v.joints[p] for p in CH_PAIRINGS)
+    p13, p14, p23, p24 = (v.joints[p] for p in CH_SHAPE)
     singles = {
         1: w * p13, 2: w * p14, 3: w * p23, 4: w * p24,
         5: w * p13, 6: w * p23, 7: w * p14, 8: w * p24,

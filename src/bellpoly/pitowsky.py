@@ -36,7 +36,7 @@ from .simplex import FeasibilityProblem, lp_feasible
 #: absolute ceiling on n (2^20 vertex columns is about desk-scale memory)
 HARD_CAPACITY = 20
 
-#: default enumeration guard; raise `max_n` explicitly to go beyond
+#: enumeration guard of membership; enumerate_vertices(max_n=) can go beyond it
 DEFAULT_GUARD = 16
 
 #: largest n for which membership defaults to exact rational arithmetic
@@ -234,12 +234,7 @@ def _violated_facet(v: CorrelationVector) -> Optional[InequalityResult]:
     return max(violated, key=lambda r: (r.violation(), r.facet))
 
 
-def membership(
-    v: CorrelationVector,
-    mode: Optional[str] = None,
-    *,
-    max_n: int = DEFAULT_GUARD,
-) -> MembershipResult:
+def membership(v: CorrelationVector, mode: Optional[str] = None) -> MembershipResult:
     """Decide whether the vector lies in C(n, S).
 
     mode None picks exact rational arithmetic for n <= 10 and float beyond;
@@ -250,7 +245,7 @@ def membership(
         raise ValueError(f"unknown mode {mode!r}")
     if mode is None:
         mode = "exact" if v.n <= EXACT_DEFAULT_MAX_N else "float"
-    vertex_set = enumerate_vertices(v.n, v.pairs, max_n=max_n)
+    vertex_set = enumerate_vertices(v.n, v.pairs)
     problem = membership_problem(v, vertex_set)
     weights = lp_feasible(problem, mode=mode)
     if weights is not None:

@@ -60,9 +60,19 @@ def _pair_key(i: int, j: int) -> str:
     return f"{i},{j}"
 
 
+def _parse_index(text: str) -> int:
+    """An event index spelled in ASCII decimal digits and nothing else.
+
+    int() alone would also take " 1", "+2", "1_0" and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a plain decimal index: {text!r}")
+    return int(text)
+
+
 def _parse_pair_key(key: str, field: str) -> tuple[int, int]:
     try:
-        i, j = (int(part) for part in key.split(","))
+        i, j = (_parse_index(part) for part in key.split(","))
     except ValueError as exc:
         raise ScenarioFormatError(f"field {field}: bad pair key {key!r}") from exc
     return i, j
@@ -139,7 +149,7 @@ def scenario_from_dict(data) -> Scenario:
     singles = {}
     for key, raw in raw_singles.items():
         try:
-            idx = int(key)
+            idx = _parse_index(key)
         except ValueError as exc:
             raise ScenarioFormatError(f"field singles: bad index {key!r}") from exc
         if idx in singles:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellpoly import Scenario, ch_shape_vector
 from bellpoly.cli import main
+from bellpoly.core import CorrelationVector, Scenario, bell3_vector, ch_shape_vector
 from bellpoly.models import (
     concept_scenario,
     distinguish_events,
@@ -147,9 +147,7 @@ class TestMembership:
     def test_capacity_exit_code(self, tmp_path):
         scenario = Scenario(
             "big", "explicit",
-            vector=__import__("bellpoly").CorrelationVector(
-                17, (), {i: 0 for i in range(1, 18)}, {}
-            ),
+            vector=CorrelationVector(17, (), {i: 0 for i in range(1, 18)}, {}),
         )
         path = write_scenario(tmp_path, "big.json", scenario)
         proc = run_cli("membership", path)
@@ -183,7 +181,7 @@ class TestDistinguish:
         assert run_cli("membership", str(out)).returncode == 0
 
     def test_wrong_shape_input(self, tmp_path):
-        v = __import__("bellpoly").bell3_vector(1, 1, 1, 1, 1, 1)
+        v = bell3_vector(1, 1, 1, 1, 1, 1)
         path = write_scenario(tmp_path, "n3.json", Scenario("n3", "explicit", vector=v))
         proc = run_cli("distinguish", path)
         assert proc.returncode == 2
@@ -378,6 +376,30 @@ class TestScenarioIO:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "field pairs: bad entry" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "field, good, bad, message",
+        [
+            ("singles", "1", " 1", "bad index"),
+            ("singles", "2", "+2", "bad index"),
+            ("singles", "1", "0_1", "bad index"),
+            ("singles", "1", "\u0661", "bad index"),  # ARABIC-INDIC DIGIT ONE
+            ("joints", "1,3", " 1, +3", "bad pair key"),
+            ("joints", "1,3", "1,3,", "bad pair key"),
+            ("joints", "2,4", "2,\u0664", "bad pair key"),
+            ("expectations", "1,4", "1,0_4", "bad pair key"),
+        ],
+    )
+    def test_index_keys_must_be_plain_digits(self, tmp_path, field, good, bad, message):
+        # int() reads all but the trailing-comma key as the good one, so the file would load
+        data = scenario_to_dict(vessels_scenario())
+        data[field] = {bad if k == good else k: v for k, v in data[field].items()}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        proc = run_cli("membership", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"field {field}: {message}" in proc.stderr
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.json"

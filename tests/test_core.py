@@ -5,56 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellpoly import (
+from bellpoly.core import (
+    CH_BY_NAME,
     CorrelationVector,
     ExpectationSet,
-    JointOutcomeDistribution,
     Scenario,
     ShapeError,
     ValidationError,
     ch_shape_vector,
     chsh_statistic,
     clauser_horne_statistic,
-    expectation_from_joint,
+    resolve_ch_combination,
 )
-from bellpoly.core import CH_BY_NAME, resolve_ch_combination
 
 HALF = Fraction(1, 2)
-
-
-class TestExpectationFromJoint:
-    def test_perfect_anticorrelation(self):
-        d = JointOutcomeDistribution(0, HALF, HALF, 0)
-        assert expectation_from_joint(d) == -1
-
-    def test_perfect_correlation(self):
-        assert expectation_from_joint(JointOutcomeDistribution(1, 0, 0, 0)) == 1
-
-    def test_mixed(self):
-        d = JointOutcomeDistribution(
-            Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)
-        )
-        assert expectation_from_joint(d) == Fraction(-1, 2)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValidationError):
-            JointOutcomeDistribution(-0.1, 0.5, 0.5, 0.1)
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValidationError):
-            JointOutcomeDistribution(0.3, 0.3, 0.3, 0.3)
-
-    def test_sum_tolerance(self):
-        JointOutcomeDistribution(0.25, 0.25, 0.25, 0.25 + 5e-10)
-
-    @given(st.lists(st.floats(0.001, 1.0), min_size=4, max_size=4))
-    def test_identity_and_bounds(self, raw):
-        total = sum(raw)
-        p = [x / total for x in raw]
-        d = JointOutcomeDistribution(*p)
-        e = expectation_from_joint(d)
-        assert -1.0 - 1e-9 <= e <= 1.0 + 1e-9
-        assert e == pytest.approx(2 * (d.p_uu + d.p_dd) - 1, abs=1e-12)
 
 
 class TestChshStatistic:
@@ -161,12 +125,6 @@ class TestCorrelationVector:
             3, ((2, 3), (1, 2)), {1: 0.5, 2: 0.5, 3: 0.5}, {(1, 2): 0.1, (2, 3): 0.2}
         )
         assert v.pairs == ((1, 2), (2, 3))
-
-    def test_as_exact(self):
-        v = ch_shape_vector(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25)
-        exact = v.as_exact()
-        assert exact.singles[1] == Fraction(1, 2)
-        assert all(isinstance(x, Fraction) for x in exact.components())
 
     @pytest.mark.parametrize(
         "n, pairs, singles, joints",

@@ -6,29 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
-from bellpoly import (
-    EpsRhoParams,
-    MeasurementDirections,
-    ValidationError,
-    chsh_closed_form,
-    closed_form_expectation,
-    conditional_up_probability,
-    monte_carlo_expectation,
-    simulate_pair,
-    sweep,
-    violation_boundary,
-)
+from bellpoly.core import ValidationError
 from bellpoly.epsrho import (
     COS_45,
     MC_CHUNK,
-    DegenerateParameterError,
     SQRT2,
+    EpsRhoParams,
+    MeasurementDirections,
     _product_sum,
     _regime,
     _right_up,
     _threshold,
+    chsh_closed_form,
+    closed_form_expectation,
+    monte_carlo_expectation,
+    sweep,
+    violation_boundary,
 )
 
 C45 = COS_45
@@ -82,41 +77,6 @@ class TestClosedFormExpectation:
         assert edge == -1.0 and near == pytest.approx(-1.0, abs=1e-9)
 
 
-class TestConditionalUpProbability:
-    def test_symmetric(self):
-        assert conditional_up_probability(EpsRhoParams(1, 1), 0.0) == 0.5
-
-    def test_edge_of_breakable_interval(self):
-        assert conditional_up_probability(EpsRhoParams(1.0, C45), C45) == 0.0
-
-    def test_halfway(self):
-        assert conditional_up_probability(EpsRhoParams(1, 1), 0.5) == 0.25
-
-    def test_clamped_in_saturated_regime(self):
-        assert conditional_up_probability(EpsRhoParams(1.0, 0.2), 0.9) == 0.0
-        assert conditional_up_probability(EpsRhoParams(1.0, 0.2), -0.9) == 1.0
-
-    def test_degenerate_eps(self):
-        with pytest.raises(DegenerateParameterError):
-            conditional_up_probability(EpsRhoParams(1.0, 0.0), 0.5)
-
-    def test_right_marginal_is_half(self):
-        # the two conditional branches (first outcome up/down) average to 1/2
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            p = EpsRhoParams(float(rng.random()), float(rng.uniform(0.01, 1.0)))
-            c = float(rng.uniform(-1.0, 1.0))
-            avg = 0.5 * (
-                conditional_up_probability(p, c) + conditional_up_probability(p, -c)
-            )
-            assert avg == pytest.approx(0.5, abs=1e-12)
-        rng2 = Generator(Philox(key=77))
-        p, d = EpsRhoParams(0.8, 0.35), MeasurementDirections(0.6)
-        n = 20_000
-        ups = sum(simulate_pair(p, d, rng2).right == "up" for _ in range(n))
-        assert abs(ups / n - 0.5) <= 3 / math.sqrt(n)
-
-
 class TestChshClosedForm:
     def test_quantum_point(self):
         assert chsh_closed_form(EpsRhoParams(1, 1)) == pytest.approx(
@@ -168,46 +128,11 @@ class TestViolationBoundary:
 
 
 class TestSimulatePair:
-    def test_left_marginal_half(self):
-        rng = Generator(Philox(key=123))
-        p, d = EpsRhoParams(0.7, 0.6), MeasurementDirections(0.2)
-        n = 20_000
-        ups = sum(simulate_pair(p, d, rng).left == "up" for _ in range(n))
-        assert abs(ups / n - 0.5) <= 3 / math.sqrt(n)
-
-    def test_matches_closed_form(self):
-        rng = Generator(Philox(key=7))
-        p, d = EpsRhoParams(1.0, 1.0), MeasurementDirections(C45)
-        n = 40_000
-        total = sum(simulate_pair(p, d, rng).product for _ in range(n))
-        se = 1 / math.sqrt(n)
-        assert abs(total / n - (-C45)) <= 5 * se
+    """Per-pair outcomes, read off the kernel: a sum of -n over n pairs means
+    every pair came out anticorrelated."""
 
     def test_saturated_always_anticorrelated(self):
-        rng = Generator(Philox(key=11))
-        p, d = EpsRhoParams(1.0, 0.25), MeasurementDirections(C45)
-        assert all(simulate_pair(p, d, rng).product == -1 for _ in range(500))
-
-    def test_zero_reach_independent(self):
-        rng = Generator(Philox(key=13))
-        p, d = EpsRhoParams(0.0, 0.5), MeasurementDirections(1.0)
-        n = 20_000
-        total = sum(simulate_pair(p, d, rng).product for _ in range(n))
-        assert abs(total / n) <= 3 / math.sqrt(n)
-
-    def test_break_point_within_interval(self):
-        rng = Generator(Philox(key=3))
-        p, d = EpsRhoParams(0.5, 0.3), MeasurementDirections(0.4)
-        for _ in range(200):
-            out = simulate_pair(p, d, rng)
-            assert -0.3 <= out.break_point <= 0.3
-
-    def test_matches_vectorized_kernel_exactly(self):
-        p, d = EpsRhoParams(0.8, 0.55), MeasurementDirections(0.3)
-        n, seed = 1000, 50607
-        rng = Generator(Philox(key=seed))
-        serial = sum(simulate_pair(p, d, rng).product for _ in range(n))
-        assert serial == _product_sum(p.rho, p.eps, d.cos_ab, n, seed)
+        assert _product_sum(1.0, 0.25, C45, 500, 11) == -500
 
 
 def clean_room_product_sum(rho, eps, cos_ab, trials, seed, base_trial=0):
@@ -249,6 +174,7 @@ class TestStreamContract:
         (1.0, 1.0, 1.0),
         (1.0, 1.0, -1.0),
         (0.9, 0.7, COS_45),
+        (0.8, 0.6, -0.3),
     ]
 
     @pytest.mark.parametrize("rho, eps, cos_ab", EDGE)
@@ -260,6 +186,7 @@ class TestStreamContract:
             (999, 0, 10),  # not a multiple of the buffer size
             (MC_CHUNK + 3, 2**40, MC_CHUNK),  # two fills, large base_trial
             (16385, 2**62, 998),  # many fills, base_trial near the stream's end
+            (32773, 2**33, MC_CHUNK),  # one fill, odd count, far into the stream
         ],
     )
     def test_edge_cases(self, rho, eps, cos_ab, trials, base_trial, chunk):
@@ -332,21 +259,15 @@ class TestStreamContract:
             sys.setswitchinterval(interval)
         assert got == expected * 3
 
-    def test_same_sum_on_one_cpu(self, monkeypatch):
-        args = (0.8, 0.6, -0.3, 32773, 12, 2**33)
-        unpinned = _product_sum(*args)
-        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _product_sum(*args) == unpinned == clean_room_product_sum(*args)
-
 
 class TestMonteCarloExpectation:
     def test_deterministic_and_chunk_invariant(self):
         p, d = EpsRhoParams(0.9, 0.7), MeasurementDirections(0.25)
         a = monte_carlo_expectation(p, d, 5000, 42)
         b = monte_carlo_expectation(p, d, 5000, 42)
-        c = monte_carlo_expectation(p, d, 5000, 42, chunk=2)
-        e = monte_carlo_expectation(p, d, 5000, 42, chunk=998)
-        assert a == b == c == e
+        sums = [_product_sum(0.9, 0.7, 0.25, 5000, 42, chunk=c) for c in (MC_CHUNK, 2, 998)]
+        assert a == b and a[0] == sums[0] / 5000
+        assert sums[0] == sums[1] == sums[2]
 
     def test_different_seeds_differ(self):
         p, d = EpsRhoParams(0.9, 0.7), MeasurementDirections(0.25)
@@ -369,11 +290,27 @@ class TestMonteCarloExpectation:
             closed = closed_form_expectation(p, d.cos_ab)
             assert abs(est - closed) <= max(4 * se, 1e-12)
 
+    def test_quantum_point_matches_closed_form(self):
+        n = 40_000
+        est, _ = monte_carlo_expectation(
+            EpsRhoParams(1.0, 1.0), MeasurementDirections(C45), n, 7
+        )
+        assert abs(est - (-C45)) <= 5 / math.sqrt(n)
+
+    def test_zero_reach_averages_zero(self):
+        n = 20_000
+        est, _ = monte_carlo_expectation(
+            EpsRhoParams(0.0, 0.5), MeasurementDirections(1.0), n, 13
+        )
+        assert abs(est) <= 3 / math.sqrt(n)
+
     def test_saturated_exact(self):
         est, se = monte_carlo_expectation(
             EpsRhoParams(1.0, 0.25), MeasurementDirections(C45), 10_000, 0
         )
         assert est == -1.0 and se == 0.0
+        # the mirrored geometry saturates the other way: always correlated
+        assert _product_sum(1.0, 0.25, -C45, 500, 11) == 500
 
     def test_deterministic_limit_exact(self):
         # eps = 0 with a nonzero projection always anticorrelates
@@ -399,9 +336,7 @@ class TestMonteCarloExpectation:
 
     def test_odd_chunk_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo_expectation(
-                EpsRhoParams(1, 1), MeasurementDirections(0), 10, 0, chunk=3
-            )
+            _product_sum(1.0, 1.0, 0.0, 10, 0, chunk=3)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -471,17 +406,6 @@ class TestSweep:
             sweep([0.5], [0.5], trials=0)
 
 
-class TestModelState:
-    def test_within_reach(self):
-        from bellpoly.epsrho import ModelState
-
-        centered = ModelState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert centered.within_reach(0.0)
-        pulled = ModelState((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert pulled.within_reach(0.5)
-        assert not pulled.within_reach(0.4)
-
-
 class TestParamValidation:
     def test_rho_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -491,10 +415,6 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             MeasurementDirections(-1.1)
 
-    def test_from_angle_and_vectors(self):
+    def test_from_angle(self):
         d = MeasurementDirections.from_angle(math.pi / 3)
         assert d.cos_ab == pytest.approx(0.5, abs=1e-12)
-        d2 = MeasurementDirections.from_vectors((1, 0, 0), (1, 1, 0))
-        assert d2.cos_ab == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        with pytest.raises(ValidationError):
-            MeasurementDirections.from_vectors((0, 0, 0), (1, 0, 0))

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellpoly import (
+from bellpoly.core import (
     CorrelationVector,
     Scenario,
     ShapeError,
     chsh_statistic,
     clauser_horne_statistic,
-    membership,
 )
 from bellpoly.models import (
     DISTINGUISHED_PAIRS,
@@ -25,6 +24,7 @@ from bellpoly.models import (
     spin_distinguished_marginal,
     vessels_scenario,
 )
+from bellpoly.pitowsky import membership
 
 HALF = Fraction(1, 2)
 

@@ -6,20 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpoly import (
+from bellpoly.core import (
     CapacityError,
     CorrelationVector,
-    KolmogorovRep,
-    NoRepresentationError,
     ShapeError,
     bell3_vector,
-    bell_inequality_set_n3,
-    ch_inequality_set,
     ch_shape_vector,
-    enumerate_vertices,
-    membership,
-    product_representation,
-    verify_representation,
 )
 from bellpoly.models import (
     distinguish_events,
@@ -27,7 +19,17 @@ from bellpoly.models import (
     maximal_violation_config,
     vessels_scenario,
 )
-from bellpoly.pitowsky import pair_atom_weights
+from bellpoly.pitowsky import (
+    KolmogorovRep,
+    NoRepresentationError,
+    bell_inequality_set_n3,
+    ch_inequality_set,
+    enumerate_vertices,
+    membership,
+    pair_atom_weights,
+    product_representation,
+    verify_representation,
+)
 
 HALF = Fraction(1, 2)
 

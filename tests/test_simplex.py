@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellpoly import FeasibilityProblem, lp_feasible, membership_problem
 from bellpoly.models import distinguish_events, vessels_scenario
-from bellpoly.pitowsky import enumerate_vertices
+from bellpoly.pitowsky import enumerate_vertices, membership_problem
+from bellpoly.simplex import FeasibilityProblem, _aligned_zeros, lp_feasible
 
 
 def _check_solution(problem, x, tol):
@@ -109,3 +109,11 @@ def test_dimension_mismatch():
 def test_unknown_mode():
     with pytest.raises(ValueError):
         lp_feasible(FeasibilityProblem(np.array([[1]]), (1,)), "symbolic")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (24, 2072), (26, 4122)])
+def test_tableau_starts_on_a_64_byte_boundary(shape):
+    for _ in range(5):  # each allocation may land at a different heap offset
+        t = _aligned_zeros(shape)
+        assert t.ctypes.data % 64 == 0
+        assert t.shape == shape and t.flags.c_contiguous and not t.any()
