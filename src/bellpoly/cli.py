@@ -8,7 +8,9 @@ polytope, 2 input error, 3 capacity exceeded, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from typing import Optional
 
@@ -53,13 +55,6 @@ EXIT_IO = 4
 DEFAULT_ANGLES = "0,90,45,135"
 
 CSV_HEADER = "rho,epsilon,e_ab,e_ab2,e_a2b,e_a2b2,chsh,violates,regime"
-
-
-def _fmt(value: Prob) -> str:
-    """CSV cell format: floats at 12 significant digits."""
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
 
 
 def _show(value: Prob) -> str:
@@ -199,26 +194,21 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    header = CSV_HEADER + (",mc_chsh,mc_stderr" if args.trials else "")
-    lines = [header]
-    for r in rows:
-        cells = [
-            _fmt(r.rho), _fmt(r.epsilon),
-            _fmt(r.e_ab), _fmt(r.e_ab2), _fmt(r.e_a2b), _fmt(r.e_a2b2),
-            _fmt(r.chsh), str(r.violates), r.regime,
-        ]
-        if args.trials:
-            cells += [_fmt(r.mc_chsh), _fmt(r.mc_stderr)]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _fail(str(exc), EXIT_IO)
-    else:
-        sys.stdout.write(text)
+    try:
+        with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(CSV_HEADER + (",mc_chsh,mc_stderr\n" if args.trials else "\n"))
+            fh.writelines(
+                f"{r.rho:.12g},{r.epsilon:.12g},{r.e_ab:.12g},{r.e_ab2:.12g},{r.e_a2b:.12g},"
+                f"{r.e_a2b2:.12g},{r.chsh:.12g},{r.violates},{r.regime}"
+                + (f",{r.mc_chsh:.12g},{r.mc_stderr:.12g}\n" if args.trials else "\n")
+                for r in rows
+            )
+            fh.flush()  # a failure to write stdout's buffered tail shows here, not at exit
+    except OSError as exc:
+        if not args.out:  # the interpreter flushes stdout again at exit; let that pass
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(str(exc), EXIT_IO)
     return EXIT_OK
 
 

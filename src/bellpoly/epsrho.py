@@ -21,7 +21,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -216,9 +216,9 @@ def monte_carlo_expectation(
     return _mean_and_stderr(total, trials)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (rho, eps) grid cell of a violation-region sweep."""
+class SweepRow(NamedTuple):
+    """One (rho, eps) grid cell of a violation-region sweep; its fields, in
+    order, are the columns of the sweep CSV."""
 
     rho: float
     epsilon: float
@@ -283,7 +283,8 @@ def sweep(
             rho = float(rho)
             eps = float(eps)
             params = EpsRhoParams(rho, eps)
-            e_vals = [closed_form_expectation(params, c) for c in SWEEP_COSINES]
+            e_ab = closed_form_expectation(params, COS_45)
+            e_ab2 = closed_form_expectation(params, -COS_45)
             chsh = chsh_closed_form(params)
             mc_chsh = mc_stderr = None
             if trials:
@@ -294,14 +295,7 @@ def sweep(
                 (m_ab, s_ab), (m_ab2, s_ab2), (m_a2b, s_a2b), (m_a2b2, s_a2b2) = stats
                 mc_chsh = abs(m_ab - m_ab2) + abs(m_a2b + m_a2b2)
                 mc_stderr = math.sqrt(s_ab**2 + s_ab2**2 + s_a2b**2 + s_a2b2**2)
-            rows.append(
-                SweepRow(
-                    rho, eps, *e_vals,
-                    chsh=chsh,
-                    violates=int(chsh > 2.0 + 1e-12),
-                    regime=_regime(rho, eps),
-                    mc_chsh=mc_chsh,
-                    mc_stderr=mc_stderr,
-                )
-            )
+            # a'b and a'b' share the cosine of ab (SWEEP_COSINES), so e_a2b = e_a2b2 = e_ab
+            rows.append(SweepRow(rho, eps, e_ab, e_ab2, e_ab, e_ab, chsh,
+                                 int(chsh > 2.0 + 1e-12), _regime(rho, eps), mc_chsh, mc_stderr))
     return rows

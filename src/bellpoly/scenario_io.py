@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -78,9 +79,19 @@ def _parse_pair_key(key: str, field: str) -> tuple[int, int]:
     return i, j
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: plain json.loads would keep the last of repeated keys."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioFormatError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def loads_scenario(text: str) -> Scenario:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return scenario_from_dict(data)
@@ -122,6 +133,8 @@ def scenario_from_dict(data) -> Scenario:
             raw = angles[label]
             if isinstance(raw, bool) or not isinstance(raw, (int, float)):
                 raise ScenarioFormatError(f"field angles_deg.{label}: expected a number")
+            if not abs(raw) <= sys.float_info.max:  # also NaN, and ints float() cannot take
+                raise ScenarioFormatError(f"field angles_deg.{label}: expected a finite number")
             degs.append(float(raw))
         cfg = SingletConfig(*(math.radians(d) for d in degs))
         return singlet_scenario(cfg, name=name)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -242,6 +243,44 @@ class TestSweep:
         assert pinned.stdout == free.stdout
         assert len(free.stdout.splitlines()) == 26
 
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (["--rho-steps", "21", "--eps-steps", "21"],
+             "fe18af6e0835e7cbaa9fbe71b947cfae39389375cc8c1ed0994ef2b3833ce124"),
+            (["--rho-steps", "5", "--eps-steps", "5", "--trials", "20001", "--seed", "7"],
+             "b7fa3891c75d630e3e38ce2a13456ba0e0c874e2183518703b60ef4cc79b52c3"),
+        ],
+        ids=["closed-21x21", "mc-5x5"],
+    )
+    def test_pinned_bytes(self, tmp_path, args, sha256):
+        cmd = [sys.executable, "-m", "bellpoly.cli", "sweep", *args]
+        stdout = subprocess.run(cmd, capture_output=True, check=True).stdout
+        out = tmp_path / "s.csv"
+        subprocess.run([*cmd, "--out", str(out)], capture_output=True, check=True)
+        assert hashlib.sha256(stdout).hexdigest() == sha256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("steps, head", [("101", "rho,epsilo"), ("3", "")],
+                             ids=["closed-mid-stream", "closed-before-reading"])
+    def test_closed_stdout_pipe_exits_4(self, buffered, steps, head):
+        # buffered, the 3x3 rows sit in stdout's buffer until the final flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellpoly.cli", "sweep", "--rho-steps", steps,
+             "--eps-steps", steps],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 4
+        assert "Traceback" not in stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_step_count_validation(self):
         assert run_cli("sweep", "--rho-steps", "1", "--eps-steps", "5").returncode == 2
 
@@ -400,6 +439,38 @@ class TestScenarioIO:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"field {field}: {message}" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["membership", "evaluate", "distinguish"])
+    @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN", "1" + "0" * 400],
+                             ids=["inf", "-inf", "nan", "int-1e400"])
+    def test_non_finite_angles(self, tmp_path, command, angle):
+        path = tmp_path / "s.json"
+        path.write_text('{"name": "s", "kind": "singlet", "angles_deg": '
+                        '{"a1": %s, "a2": 90, "a3": 45, "a4": 135}}' % angle)
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "field angles_deg.a1: expected a finite number" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["membership", "evaluate"])
+    @pytest.mark.parametrize(
+        "first, repeated, key",
+        [
+            ('"singles": {', '"singles": {"1": 0.5, ', "'1'"),
+            ('"joints": {', '"joints": {"1,3": 0.5, ', "'1,3'"),
+            ('{"name": ', '{"name": "other", "name": ', "'name'"),
+        ],
+        ids=["singles", "joints", "name"],
+    )
+    def test_duplicate_keys(self, tmp_path, command, first, repeated, key):
+        # plain json.loads keeps the last value, so the file would load
+        text = json.dumps(scenario_to_dict(vessels_scenario()))
+        path = tmp_path / "dup.json"
+        path.write_text(text.replace(first, repeated, 1))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"duplicate key {key}" in proc.stderr
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.json"
