@@ -3,6 +3,10 @@
 Subcommands: evaluate, membership, distinguish, sweep, simulate. Exit codes
 are a stable contract: 0 success (membership: inside), 1 outside the
 polytope, 2 input error, 3 capacity exceeded, 4 output I/O failure.
+The commands raise; `main` alone maps exceptions to codes: CapacityError to
+3, any other ValueError to 2 (an unreadable input file included), and an
+OSError, which can only come from writing stdout or `--out`, to 4. Anything
+else, `DegeneracyError` included, propagates.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from .core import (
     CapacityError,
     Prob,
     Scenario,
-    ShapeError,
-    ValidationError,
     chsh_statistic,
 )
 from .epsrho import (
@@ -39,12 +41,7 @@ from .models import (
     vessels_scenario,
 )
 from .pitowsky import ch_inequality_set, membership
-from .scenario_io import (
-    ScenarioFormatError,
-    dumps_scenario,
-    load_scenario,
-    save_scenario,
-)
+from .scenario_io import dumps_scenario, load_scenario, save_scenario
 
 EXIT_OK = 0
 EXIT_OUTSIDE = 1
@@ -93,10 +90,7 @@ def _load_input(args) -> Scenario:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        scenario = _load_input(args)
-    except (ScenarioFormatError, ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    scenario = _load_input(args)
     print(f"scenario: {scenario.name} (kind {scenario.kind})")
     if scenario.expectations is not None:
         e = scenario.expectations
@@ -108,8 +102,6 @@ def cmd_evaluate(args) -> int:
     else:
         print("CHSH: not available (no expectations)")
     v = scenario.vector
-    if v is None:
-        return _fail("scenario carries no correlation vector", EXIT_INPUT)
     if v.n == 4 and v.pairs == CH_SHAPE:
         print("Clauser-Horne combinations (classical range [-1, 0]):")
         for res in ch_inequality_set(v):
@@ -127,18 +119,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    try:
-        scenario = load_scenario(args.path)
-    except (ScenarioFormatError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    v = scenario.vector
-    if v is None:
-        return _fail("scenario carries no correlation vector", EXIT_INPUT)
-    mode = "exact" if args.exact else None
-    try:
-        result = membership(v, mode=mode)
-    except CapacityError as exc:
-        return _fail(str(exc), EXIT_CAPACITY)
+    v = load_scenario(args.path).vector
+    result = membership(v, mode="exact" if args.exact else None)
     print(f"n = {v.n}, pairs = {[list(p) for p in v.pairs]}, mode = {result.mode}")
     if result.inside:
         support = sum(1 for w in result.certificate if w > 1e-12)
@@ -160,17 +142,11 @@ def cmd_membership(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    try:
-        scenario = _load_input(args)
-        vector = distinguish_events(scenario)
-    except (ScenarioFormatError, ShapeError, ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    scenario = _load_input(args)
+    vector = distinguish_events(scenario)
     out = Scenario(f"{scenario.name}-distinguished", "explicit", vector=vector)
     if args.out:
-        try:
-            save_scenario(out, args.out)
-        except OSError as exc:
-            return _fail(str(exc), EXIT_IO)
+        save_scenario(out, args.out)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(dumps_scenario(out))
@@ -183,45 +159,36 @@ def _uniform_grid(steps: int) -> list[float]:
 
 def cmd_sweep(args) -> int:
     if args.rho_steps < 2 or args.eps_steps < 2:
-        return _fail("step counts must be at least 2", EXIT_INPUT)
+        raise ValueError("step counts must be at least 2")
     if args.trials is not None and args.trials < 1:
-        return _fail("--trials must be at least 1", EXIT_INPUT)
+        raise ValueError("--trials must be at least 1")
     if args.seed < 0:
-        return _fail("--seed must be nonnegative", EXIT_INPUT)
+        raise ValueError("--seed must be nonnegative")
     rows = sweep(
         _uniform_grid(args.rho_steps),
         _uniform_grid(args.eps_steps),
         trials=args.trials,
         seed=args.seed,
     )
-    try:
-        with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.write(CSV_HEADER + (",mc_chsh,mc_stderr\n" if args.trials else "\n"))
-            fh.writelines(
-                f"{r.rho:.12g},{r.epsilon:.12g},{r.e_ab:.12g},{r.e_ab2:.12g},{r.e_a2b:.12g},"
-                f"{r.e_a2b2:.12g},{r.chsh:.12g},{r.violates},{r.regime}"
-                + (f",{r.mc_chsh:.12g},{r.mc_stderr:.12g}\n" if args.trials else "\n")
-                for r in rows
-            )
-            fh.flush()  # a failure to write stdout's buffered tail shows here, not at exit
-    except OSError as exc:
-        if not args.out:  # the interpreter flushes stdout again at exit; let that pass
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _fail(str(exc), EXIT_IO)
+    with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(CSV_HEADER + (",mc_chsh,mc_stderr\n" if args.trials else "\n"))
+        fh.writelines(
+            f"{r.rho:.12g},{r.epsilon:.12g},{r.e_ab:.12g},{r.e_ab2:.12g},{r.e_a2b:.12g},"
+            f"{r.e_a2b2:.12g},{r.chsh:.12g},{r.violates},{r.regime}"
+            + (f",{r.mc_chsh:.12g},{r.mc_stderr:.12g}\n" if args.trials else "\n")
+            for r in rows
+        )
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     if args.trials < 1:
-        return _fail("--trials must be at least 1", EXIT_INPUT)
+        raise ValueError("--trials must be at least 1")
     if args.seed < 0:
-        return _fail("--seed must be nonnegative", EXIT_INPUT)
-    try:
-        params = EpsRhoParams(args.rho, args.eps)
-        dirs = MeasurementDirections.from_angle(math.radians(args.angle_deg))
-    except ValidationError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise ValueError("--seed must be nonnegative")
+    params = EpsRhoParams(args.rho, args.eps)
+    dirs = MeasurementDirections.from_angle(math.radians(args.angle_deg))
     estimate, stderr = monte_carlo_expectation(params, dirs, args.trials, args.seed)
     closed = closed_form_expectation(params, dirs.cos_ab)
     if stderr > 0.0:
@@ -286,13 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ScenarioFormatError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except (ValidationError, ShapeError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except CapacityError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a failure to write stdout's buffered tail shows here, not at exit
+        return code
+    except CapacityError as exc:  # a ValueError too, so it comes first
         return _fail(str(exc), EXIT_CAPACITY)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
+    except OSError as exc:  # input files fail as ScenarioFormatError, so this is output
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed, and the interpreter's flush at exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ ANGLE_LABELS = ("a1", "a2", "a3", "a4")
 
 
 class ScenarioFormatError(ValueError):
-    """A scenario file fails to parse or fails the schema."""
+    """A scenario file cannot be read, is not UTF-8 JSON, or fails the schema."""
 
 
 def parse_value(raw, field: str) -> Prob:
@@ -98,10 +98,14 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
+    """Parse a scenario file; a file that cannot be read raises ScenarioFormatError."""
     try:
-        return loads_scenario(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise ScenarioFormatError(str(exc)) from exc
+    return loads_scenario(text)
 
 
 def scenario_from_dict(data) -> Scenario:

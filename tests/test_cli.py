@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +42,26 @@ def write_scenario(tmp_path, name, scenario):
     path = tmp_path / name
     save_scenario(scenario, path)
     return str(path)
+
+
+def run_into_closed_pipe(args, head, buffered):
+    """Run the CLI, read `head` from its stdout, close the pipe; (exit code, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bellpoly.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    return proc.wait(timeout=60), stderr
+
+
+def assert_one_error_line(stderr):
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 ZEROS = Scenario(
@@ -266,20 +287,11 @@ class TestSweep:
                              ids=["closed-mid-stream", "closed-before-reading"])
     def test_closed_stdout_pipe_exits_4(self, buffered, steps, head):
         # buffered, the 3x3 rows sit in stdout's buffer until the final flush
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "bellpoly.cli", "sweep", "--rho-steps", steps,
-             "--eps-steps", steps],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        code, stderr = run_into_closed_pipe(
+            ["sweep", "--rho-steps", steps, "--eps-steps", steps], head, buffered
         )
-        assert proc.stdout.read(len(head)) == head
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=60) == 4
-        assert "Traceback" not in stderr
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert code == 4
+        assert_one_error_line(stderr)
 
     def test_step_count_validation(self):
         assert run_cli("sweep", "--rho-steps", "1", "--eps-steps", "5").returncode == 2
@@ -288,6 +300,47 @@ class TestSweep:
         proc = run_cli("sweep", "--rho-steps", "2", "--eps-steps", "2",
                        "--out", "/nonexistent-dir/x.csv")
         assert proc.returncode == 4
+
+
+def command_args(command, tmp_path):
+    """A run of each command that writes stdout. The membership vector is outside, so
+    a working stdout exits 1; distinguish-out fails on stdout after writing its file."""
+    if command == "membership":
+        return ["membership", write_scenario(tmp_path, "v.json", vessels_scenario())]
+    if command == "distinguish-out":
+        return ["distinguish", "--builtin", "vessels", "--out", str(tmp_path / "d.json")]
+    if command == "simulate":
+        return ["simulate", "--rho", "1", "--eps", "1", "--trials", "1000"]
+    if command == "sweep":
+        return ["sweep", "--rho-steps", "3", "--eps-steps", "3"]
+    return [command, "--builtin", "vessels"]
+
+
+class TestOutputFailure:
+    """A stdout that cannot be written exits 4, with one error line, for every command."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "membership", "distinguish", "distinguish-out", "simulate"]
+    )
+    def test_closed_stdout_pipe_exits_4(self, tmp_path, command, buffered):
+        code, stderr = run_into_closed_pipe(command_args(command, tmp_path), "", buffered)
+        assert code == 4
+        assert_one_error_line(stderr)
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "membership", "distinguish", "simulate", "sweep"]
+    )
+    def test_dev_full_exits_4(self, tmp_path, command):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellpoly.cli", *command_args(command, tmp_path)],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 4
+        assert_one_error_line(proc.stderr)
 
 
 class TestSimulate:
@@ -331,6 +384,20 @@ class TestSimulate:
     def test_bad_rho_rejected(self):
         proc = run_cli("simulate", "--rho", "2", "--eps", "1", "--trials", "10")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--rho", "1", "--eps", "1", "--angle-deg", "inf"],
+            ["simulate", "--rho", "1", "--eps", "1", "--trials", "3", "--seed", str(2 ** 128)],
+            ["sweep", "--trials", "3", "--seed", str(2 ** 128)],
+        ],
+        ids=["angle-inf", "simulate-seed-2^128", "sweep-seed-2^128"],
+    )
+    def test_value_errors_exit_2(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert_one_error_line(proc.stderr)
 
 
 class TestScenarioIO:
@@ -489,9 +556,67 @@ class TestScenarioIO:
 
     def test_in_process_main_exit_codes(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "v.json", vessels_scenario())
+        big = write_scenario(tmp_path, "big.json", Scenario(
+            "big", "explicit", vector=CorrelationVector(17, (), {i: 0 for i in range(1, 18)}, {}),
+        ))
+        no_dir = tmp_path / "no-such-dir"
+        fd1 = os.fstat(1)
         assert main(["membership", path]) == 1
         assert main(["evaluate", path]) == 0
+        assert main(["membership", str(tmp_path / "missing.json")]) == 2
+        assert main(["evaluate", str(tmp_path)]) == 2
+        assert main(["membership", big]) == 3
+        assert main(["distinguish", "--builtin", "vessels", "--out", str(no_dir / "d.json")]) == 4
+        assert main(["sweep", "--rho-steps", "2", "--eps-steps", "2",
+                     "--out", str(no_dir / "s.csv")]) == 4
+        assert os.path.samestat(os.fstat(1), fd1)  # the caller's stdout was left alone
         capsys.readouterr()
+
+    @staticmethod
+    def _mutants(rng, text):
+        """Truncations, single-bit flips, and every field at every depth swapped
+        for a value of each JSON type."""
+        data = text.encode()
+        for cut in rng.choice(len(data), 10, replace=False):
+            yield data[:cut]
+        for k in rng.choice(len(data), 15, replace=False):
+            flipped = bytearray(data)
+            flipped[k] ^= 1 << int(rng.integers(8))
+            yield bytes(flipped)
+
+        def swapped(node):
+            keys = node if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                for other in (None, True, 7, 0.5, "x", [], {}):
+                    yield {**node, key: other} if isinstance(node, dict) else \
+                        [*node[:key], other, *node[key + 1:]]
+                if isinstance(node[key], (dict, list)):
+                    for inner in swapped(node[key]):
+                        yield {**node, key: inner} if isinstance(node, dict) else \
+                            [*node[:key], inner, *node[key + 1:]]
+
+        for doc in swapped(json.loads(text)):
+            yield json.dumps(doc).encode()
+
+    def test_malformed_files_exit_0_to_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        mutants = [
+            m
+            for scenario in (vessels_scenario(), singlet_scenario(maximal_violation_config()),
+                             Scenario("b", "explicit", vector=bell3_vector(*[Fraction(1, 4)] * 6)))
+            for m in self._mutants(rng, dumps_scenario(scenario))
+        ]
+        path = tmp_path / "m.json"
+        for mutant in mutants:
+            path.write_bytes(mutant)
+            for command in ("evaluate", "membership", "distinguish"):
+                assert main([command, str(path)]) in (0, 1, 2, 3), mutant
+        capsys.readouterr()
+        for k in rng.choice(len(mutants), 4, replace=False):
+            path.write_bytes(mutants[k])
+            proc = run_cli("membership", str(path))
+            assert proc.returncode in (0, 1, 2, 3)
+            assert "Traceback" not in proc.stderr
 
     @given(
         st.lists(

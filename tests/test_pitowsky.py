@@ -402,3 +402,57 @@ class TestKolmogorovRepValidation:
     def test_duplicate_label(self):
         with pytest.raises(ValueError):
             KolmogorovRep((("a", HALF), ("a", HALF)), {})
+
+
+def _highs_residual(vertex_set, components):
+    """Least L1 distance from the vector to the convex hull's affine
+    constraints, by HiGHS: phase 1 with a free slack pair per row."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    a = np.vstack([np.ones(len(vertex_set)), vertex_set.vertices.T])
+    eye = np.eye(a.shape[0])
+    cost = np.r_[np.zeros(a.shape[1]), np.ones(2 * a.shape[0])]
+    res = linprog(cost, A_eq=np.hstack([a, eye, -eye]), b_eq=[1.0, *map(float, components)],
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestLinprogOracle:
+    """membership() against an independent LP solver, scipy's HiGHS."""
+
+    @staticmethod
+    def _points(rng, n, pairs, q):
+        """A random, a vertex-mean and a pairwise-bounded vector on the 1/q grid."""
+        yield [Fraction(int(k), q) for k in rng.integers(0, q + 1, n + len(pairs))]
+        rows = enumerate_vertices(n, pairs).vertices
+        picked = rows[rng.choice(len(rows), size=int(rng.integers(1, 2 * n)), replace=False)]
+        yield [Fraction(int(s), len(picked)) for s in picked.sum(axis=0)]
+        singles = rng.integers(0, q + 1, n)
+        joints = [rng.integers(max(0, singles[i - 1] + singles[j - 1] - q),
+                               min(singles[i - 1], singles[j - 1]) + 1) for i, j in pairs]
+        yield [Fraction(int(k), q) for k in [*singles, *joints]]
+
+    @pytest.mark.parametrize("mode, sizes", [(None, range(3, 8)), ("float", range(9, 12))],
+                             ids=["default-exact", "float"])
+    def test_verdicts_agree_with_highs(self, mode, sizes):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for n in sizes:
+            every = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            pairs = tuple(p for p in every if rng.random() < 0.5)
+            for point in self._points(rng, n, pairs, q=12):
+                if mode == "float":
+                    point = [float(c) for c in point]
+                v = CorrelationVector(n, pairs, dict(enumerate(point[:n], 1)),
+                                      dict(zip(pairs, point[n:])))
+                result = membership(v, mode=mode)
+                assert result.mode == (mode or "exact")
+                residual = _highs_residual(result.vertex_set, point)
+                if 1e-9 < residual <= 1e-6:
+                    continue  # too close to the boundary for HiGHS to decide
+                assert result.inside == (residual <= 1e-9), (n, pairs, point)
+                if result.inside:
+                    err = result.reconstruction_error(v)
+                    assert err == 0 if mode is None else err <= 1e-9
+                verdicts.append(result.inside)
+        assert True in verdicts and False in verdicts
