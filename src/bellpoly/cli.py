@@ -4,9 +4,9 @@ Subcommands: evaluate, membership, distinguish, sweep, simulate. Exit codes
 are a stable contract: 0 success (membership: inside), 1 outside the
 polytope, 2 input error, 3 capacity exceeded, 4 output I/O failure.
 The commands raise; `main` alone maps exceptions to codes: CapacityError to
-3, any other ValueError to 2 (an unreadable input file included), and an
-OSError, which can only come from writing stdout or `--out`, to 4. Anything
-else, `DegeneracyError` included, propagates.
+3; an OSError or UnicodeEncodeError, which can only come from writing stdout
+or `--out`, to 4; and any other ValueError to 2 (an unreadable input file
+included). Anything else, `DegeneracyError` included, propagates.
 """
 
 from __future__ import annotations
@@ -164,21 +164,18 @@ def cmd_sweep(args) -> int:
         raise ValueError("--trials must be at least 1")
     if args.seed < 0:
         raise ValueError("--seed must be nonnegative")
-    rows = sweep(
-        _uniform_grid(args.rho_steps),
-        _uniform_grid(args.eps_steps),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    rho_grid, eps_grid = _uniform_grid(args.rho_steps), _uniform_grid(args.eps_steps)
+    rows = sweep(rho_grid, eps_grid, trials=args.trials, seed=args.seed)
+    grid_text = {value: f"{value:.12g}" for value in (*rho_grid, *eps_grid)}
     with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(CSV_HEADER + (",mc_chsh,mc_stderr\n" if args.trials else "\n"))
-        fh.writelines(
-            f"{r.rho:.12g},{r.epsilon:.12g},{r.e_ab:.12g},{r.e_ab2:.12g},{r.e_a2b:.12g},"
-            f"{r.e_a2b2:.12g},{r.chsh:.12g},{r.violates},{r.regime}"
-            + (f",{r.mc_chsh:.12g},{r.mc_stderr:.12g}\n" if args.trials else "\n")
-            for r in rows
-        )
+        # sweep() passes e_ab itself as e_a2b and e_a2b2, so it is formatted once
+        for rho, eps, e_ab, e_ab2, _, _, chsh, violates, regime, mc_chsh, mc_stderr in rows:
+            ab = f"{e_ab:.12g}"
+            fh.write(f"{grid_text[rho]},{grid_text[eps]},{ab},{e_ab2:.12g},{ab},{ab},"
+                     f"{chsh:.12g},{violates},{regime}"
+                     + (f",{mc_chsh:.12g},{mc_stderr:.12g}\n" if args.trials else "\n"))
     return EXIT_OK
 
 
@@ -258,14 +255,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
     except CapacityError as exc:  # a ValueError too, so it comes first
         return _fail(str(exc), EXIT_CAPACITY)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except OSError as exc:  # input files fail as ScenarioFormatError, so this is output
+    except (OSError, UnicodeEncodeError) as exc:  # output failures; the second is a ValueError
         try:
             sys.stdout.flush()
         except OSError:  # stdout failed, and the interpreter's flush at exit would fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail(str(exc), EXIT_IO)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

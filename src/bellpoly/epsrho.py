@@ -80,18 +80,22 @@ def closed_form_expectation(params: EpsRhoParams, cos_ab: float) -> float:
     """
     if abs(cos_ab) > 1.0 + 1e-12:
         raise ValidationError(f"cos_ab = {cos_ab!r} outside [-1, 1]")
-    x = params.rho * cos_ab
-    if params.eps == 0.0:
+    return _expectation(params.rho, params.eps, cos_ab)
+
+
+def _expectation(rho: float, eps: float, cos_ab: float) -> float:
+    x = rho * cos_ab
+    if eps == 0.0:
         if x > 0.0:
             return -1.0
         if x < 0.0:
             return 1.0
         return 0.0
-    if x >= params.eps:
+    if x >= eps:
         return -1.0
-    if x <= -params.eps:
+    if x <= -eps:
         return 1.0
-    return -x / params.eps + 0.0  # + 0.0 normalizes IEEE negative zero
+    return -x / eps + 0.0  # + 0.0 normalizes IEEE negative zero
 
 
 def chsh_closed_form(params: EpsRhoParams) -> float:
@@ -101,10 +105,14 @@ def chsh_closed_form(params: EpsRhoParams) -> float:
     4; identically 0 at rho = 0. Both branches meet at eps = rho*sqrt(2)/2
     where each gives 4.
     """
-    if params.rho == 0.0:
+    return _chsh(params.rho, params.eps)
+
+
+def _chsh(rho: float, eps: float) -> float:
+    if rho == 0.0:
         return 0.0
-    if params.eps / params.rho > SQRT2 / 2.0:
-        return 2.0 * SQRT2 * params.rho / params.eps
+    if eps / rho > SQRT2 / 2.0:
+        return 2.0 * SQRT2 * rho / eps
     return 4.0
 
 
@@ -277,15 +285,13 @@ def sweep(
 
     # keep per-run stream slices even-aligned for the positioning contract
     stride = trials + (trials % 2) if trials else 0
+    eps_grid = [float(eps) for eps in eps_grid]
     rows = []
     for r_idx, rho in enumerate(rho_grid):
-        for e_idx, eps in enumerate(eps_grid):
-            rho = float(rho)
-            eps = float(eps)
-            params = EpsRhoParams(rho, eps)
-            e_ab = closed_form_expectation(params, COS_45)
-            e_ab2 = closed_form_expectation(params, -COS_45)
-            chsh = chsh_closed_form(params)
+        rho = float(rho)
+        for e_idx, eps in enumerate(eps_grid):  # the grid is checked above: skip the checks
+            e_ab = _expectation(rho, eps, COS_45)
+            chsh = _chsh(rho, eps)
             mc_chsh = mc_stderr = None
             if trials:
                 cell = r_idx * len(eps_grid) + e_idx
@@ -295,7 +301,8 @@ def sweep(
                 (m_ab, s_ab), (m_ab2, s_ab2), (m_a2b, s_a2b), (m_a2b2, s_a2b2) = stats
                 mc_chsh = abs(m_ab - m_ab2) + abs(m_a2b + m_a2b2)
                 mc_stderr = math.sqrt(s_ab**2 + s_ab2**2 + s_a2b**2 + s_a2b2**2)
-            # a'b and a'b' share the cosine of ab (SWEEP_COSINES), so e_a2b = e_a2b2 = e_ab
-            rows.append(SweepRow(rho, eps, e_ab, e_ab2, e_ab, e_ab, chsh,
-                                 int(chsh > 2.0 + 1e-12), _regime(rho, eps), mc_chsh, mc_stderr))
+            # a'b and a'b' share ab's cosine (SWEEP_COSINES): e_a2b and e_a2b2 are e_ab itself
+            rows.append(SweepRow._make((rho, eps, e_ab, _expectation(rho, eps, -COS_45), e_ab,
+                                        e_ab, chsh, int(chsh > 2.0 + 1e-12), _regime(rho, eps),
+                                        mc_chsh, mc_stderr)))
     return rows

@@ -269,10 +269,12 @@ class TestSweep:
         [
             (["--rho-steps", "21", "--eps-steps", "21"],
              "fe18af6e0835e7cbaa9fbe71b947cfae39389375cc8c1ed0994ef2b3833ce124"),
+            (["--rho-steps", "401", "--eps-steps", "401"],
+             "8a957c8b4237f191522ec6952e1b8f30fe6b96a7243527a88b8f486c7eda1037"),
             (["--rho-steps", "5", "--eps-steps", "5", "--trials", "20001", "--seed", "7"],
              "b7fa3891c75d630e3e38ce2a13456ba0e0c874e2183518703b60ef4cc79b52c3"),
         ],
-        ids=["closed-21x21", "mc-5x5"],
+        ids=["closed-21x21", "closed-401x401", "mc-5x5"],
     )
     def test_pinned_bytes(self, tmp_path, args, sha256):
         cmd = [sys.executable, "-m", "bellpoly.cli", "sweep", *args]
@@ -341,6 +343,17 @@ class TestOutputFailure:
             )
         assert proc.returncode == 4
         assert_one_error_line(proc.stderr)
+
+    def test_unencodable_stdout_exits_4(self, tmp_path):
+        # the text cannot be encoded for stdout: an output failure, although a ValueError
+        scenario = Scenario("caf\u00e9", "explicit", vector=vessels_scenario().vector)
+        path = write_scenario(tmp_path, "cafe.json", scenario)
+        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+        proc = subprocess.run([sys.executable, "-m", "bellpoly.cli", "evaluate", path],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 4
+        assert_one_error_line(proc.stderr)
+        assert "codec can't encode" in proc.stderr
 
 
 class TestSimulate:

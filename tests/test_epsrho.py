@@ -383,6 +383,28 @@ class TestSweep:
                 continue
             assert row.violates == int(row.epsilon < SQRT2 * row.rho)
 
+    def test_matches_public_functions_bit_for_bit(self):
+        # sweep() calls the unchecked cores; a seeded non-uniform grid with the
+        # ends, -0.0 and points on eps = sqrt(2)*rho must give what the checked
+        # public functions give, compared by repr so a zero's sign shows
+        rng = np.random.default_rng(20)
+        rho_grid = [0.0, 1.0, 0.5, *rng.random(12).tolist()]
+        eps_grid = [0.0, -0.0, 1.0, *(SQRT2 * r for r in rho_grid if SQRT2 * r <= 1.0),
+                    *rng.random(12).tolist()]
+        rows = sweep(rho_grid, eps_grid)
+        assert [(r.rho, r.epsilon) for r in rows] == [(a, b) for a in rho_grid for b in eps_grid]
+        assert sum(r.regime == "boundary" for r in rows) >= 4
+        for row in rows:
+            params = EpsRhoParams(row.rho, row.epsilon)
+            e_ab = closed_form_expectation(params, C45)
+            chsh = chsh_closed_form(params)
+            expected = (row.rho, row.epsilon, e_ab, closed_form_expectation(params, -C45),
+                        e_ab, e_ab, chsh, int(chsh > 2.0 + 1e-12),
+                        _regime(row.rho, row.epsilon), None, None)
+            assert repr(tuple(row)) == repr(expected)
+            # the CSV writer formats e_ab once for all three columns
+            assert row.e_a2b is row.e_ab and row.e_a2b2 is row.e_ab
+
     def test_monte_carlo_columns(self):
         rows = sweep([0.0, 1.0], [0.5, 1.0], trials=4000, seed=3)
         assert all(r.mc_chsh is not None and r.mc_stderr is not None for r in rows)
