@@ -6,7 +6,8 @@ polytope, 2 input error, 3 capacity exceeded, 4 output I/O failure.
 The commands raise; `main` alone maps exceptions to codes: CapacityError to
 3; an OSError or UnicodeEncodeError, which can only come from writing stdout
 or `--out`, to 4; and any other ValueError to 2 (an unreadable input file
-included). Anything else, `DegeneracyError` included, propagates.
+included). Anything else propagates; membership itself raises nothing else,
+because both of its modes end in a certified verdict.
 """
 
 from __future__ import annotations

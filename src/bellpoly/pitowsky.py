@@ -237,9 +237,14 @@ def _violated_facet(v: CorrelationVector) -> Optional[InequalityResult]:
 def membership(v: CorrelationVector, mode: Optional[str] = None) -> MembershipResult:
     """Decide whether the vector lies in C(n, S).
 
-    mode None picks exact rational arithmetic for n <= 10 and float beyond;
-    pass "float" or "exact" to override. Float inputs convert to their exact
-    binary fractions in exact mode, so the verdict is rigorous either way.
+    mode "exact" pivots a dense rational tableau over all 2^n vertices.
+    mode "float" means float pricing with an exact certificate: column
+    generation on a small float master, then an exact check of its final
+    basis (exact convex weights for inside, an integer separating vector
+    checked on every vertex for outside), with an exact fallback when the
+    check fails. mode None picks "exact" for n <= 10 and "float" beyond.
+    Both modes judge float inputs at their exact binary value, so the
+    verdict is rigorous either way and an inside certificate is Fractions.
     """
     if mode not in (None, "float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,4 +1,7 @@
+import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly.core import (
+    CH_COMBINATIONS,
+    CH_SHAPE,
     CapacityError,
     CorrelationVector,
+    Scenario,
     ShapeError,
     bell3_vector,
     ch_shape_vector,
@@ -30,6 +36,7 @@ from bellpoly.pitowsky import (
     product_representation,
     verify_representation,
 )
+from bellpoly.scenario_io import save_scenario
 
 HALF = Fraction(1, 2)
 
@@ -121,6 +128,25 @@ class TestMembership:
         assert result.inside
         assert result.reconstruction_error(v) == 0
         assert all(isinstance(w, Fraction) for w in result.certificate)
+
+    def test_float_inputs_are_judged_at_their_binary_value(self):
+        # a mean of five vertices lies on a face; rounding its fifths to
+        # floats can move it just off that face, and both modes then agree
+        # on the rounded value
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for _ in range(20):
+            n = int(rng.integers(3, 6))
+            pairs = tuple(itertools.combinations(range(1, n + 1), 2))
+            rows = enumerate_vertices(n, pairs).vertices
+            picked = rows[rng.choice(len(rows), size=5, replace=False)]
+            point = [float(Fraction(int(s), 5)) for s in picked.sum(axis=0)]
+            v = CorrelationVector(n, pairs, dict(enumerate(point[:n], 1)),
+                                  dict(zip(pairs, point[n:])))
+            exact = membership(v, mode="exact").inside
+            assert membership(v, mode="float").inside == exact
+            verdicts.append(exact)
+        assert True in verdicts and False in verdicts
 
     def test_default_mode_switches_on_size(self):
         v = CorrelationVector(11, (), {i: 0.5 for i in range(1, 12)}, {})
@@ -432,27 +458,112 @@ class TestLinprogOracle:
                                min(singles[i - 1], singles[j - 1]) + 1) for i, j in pairs]
         yield [Fraction(int(k), q) for k in [*singles, *joints]]
 
-    @pytest.mark.parametrize("mode, sizes", [(None, range(3, 8)), ("float", range(9, 12))],
-                             ids=["default-exact", "float"])
+    @pytest.mark.parametrize("mode, sizes", [(None, range(3, 8)), ("float", range(9, 12)),
+                                             (None, range(12, 17))],
+                             ids=["default-exact", "float", "default-float"])
     def test_verdicts_agree_with_highs(self, mode, sizes):
         rng = np.random.default_rng(2024)
         verdicts = []
         for n in sizes:
             every = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            pairs = tuple(p for p in every if rng.random() < 0.5)
+            density = 0.5 if n < 12 else 0.25  # HiGHS takes seconds on 2^16 dense columns
+            pairs = tuple(p for p in every if rng.random() < density)
             for point in self._points(rng, n, pairs, q=12):
-                if mode == "float":
-                    point = [float(c) for c in point]
                 v = CorrelationVector(n, pairs, dict(enumerate(point[:n], 1)),
                                       dict(zip(pairs, point[n:])))
                 result = membership(v, mode=mode)
-                assert result.mode == (mode or "exact")
+                assert result.mode == (mode or ("exact" if n <= 10 else "float"))
                 residual = _highs_residual(result.vertex_set, point)
                 if 1e-9 < residual <= 1e-6:
                     continue  # too close to the boundary for HiGHS to decide
                 assert result.inside == (residual <= 1e-9), (n, pairs, point)
                 if result.inside:
-                    err = result.reconstruction_error(v)
-                    assert err == 0 if mode is None else err <= 1e-9
+                    assert result.reconstruction_error(v) == 0
                 verdicts.append(result.inside)
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("n, facets", [(12, ("CH1", "B1")), (13, ("CH2", "B2")),
+                                           (14, ("CH3", "B3")), (15, ("CH4", "B4")),
+                                           (16, ("CH1", "B1"))],
+                             ids=lambda x: "-".join(x) if isinstance(x, tuple) else f"n{x}")
+    def test_points_within_1e12_of_ch_and_b_facets(self, n, facets):
+        """The CH facets on the 4-cycle 1-3-2-4 and B1..B4 on the triangle
+        5-6-7, each approached to 1e-12 from inside and from outside in the
+        default (float) mode. HiGHS puts the outside points on the polytope;
+        the construction tells the two sides apart."""
+        rng = np.random.default_rng(n)
+        shape = [*CH_SHAPE, (5, 6), (5, 7), (6, 7)]
+        rest = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if (i, j) not in shape]
+        pairs = tuple(sorted(shape + [rest[k] for k in rng.choice(len(rest), n, replace=False)]))
+        vertex_set = enumerate_vertices(n, pairs)
+        verts = vertex_set.vertices.astype(np.int64)
+        keys = [*range(1, n + 1), *pairs]
+        center = [Fraction(int(s), len(verts)) for s in verts.sum(axis=0)]
+        delta = Fraction(1, 10 ** 12)
+        for name in facets:
+            coef, bound = _FACETS[name]
+            a = np.array([coef.get(key, 0) for key in keys])
+            tight = verts[verts @ a == bound]
+            face = [Fraction(int(s), len(tight)) for s in tight.sum(axis=0)]
+            for inside, step in ((True, delta), (False, -delta)):
+                point = [f + step * (c - f) for f, c in zip(face, center)]
+                v = CorrelationVector(n, pairs, dict(enumerate(point[:n], 1)),
+                                      dict(zip(pairs, point[n:])))
+                result = membership(v)
+                assert result.mode == "float" and result.inside == inside, (name, inside)
+                if inside:
+                    assert result.reconstruction_error(v) == 0
+                else:
+                    assert _highs_residual(vertex_set, point) <= 1e-9
+
+
+#: a.x <= bound over the component keys: CH1..CH4 <= 0 from core, and
+#: B1..B4 of bell_inequality_set_n3 on the triangle 5-6-7
+_FACETS = {
+    **{
+        c.name: ({**{p: 1 for p in c.plus_pairs}, c.minus_pair: -1,
+                  **{i: -1 for i in c.minus_singles}}, 0)
+        for c in CH_COMBINATIONS
+    },
+    "B1": ({5: 1, 6: 1, 7: 1, (5, 6): -1, (5, 7): -1, (6, 7): -1}, 1),
+    "B2": ({5: -1, (5, 6): 1, (5, 7): 1, (6, 7): -1}, 0),
+    "B3": ({6: -1, (5, 6): 1, (6, 7): 1, (5, 7): -1}, 0),
+    "B4": ({7: -1, (5, 7): 1, (6, 7): 1, (5, 6): -1}, 0),
+}
+
+
+def _vertex_mean(seed, n, npairs, k):
+    """Mean of k distinct vertices of C(n, S) on npairs random pairs, drawn
+    from default_rng(seed) the way benchmark/inputs.py draws its fixed
+    degenerate input."""
+    rng = np.random.default_rng(seed)
+    every = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = tuple(sorted(every[i] for i in rng.choice(len(every), size=npairs, replace=False)))
+    verts = enumerate_vertices(n, pairs).vertices
+    picked = verts[rng.choice(len(verts), size=k, replace=False)]
+    point = [Fraction(int(s), k) for s in picked.sum(axis=0)]
+    return CorrelationVector(n, pairs, dict(enumerate(point[:n], 1)), dict(zip(pairs, point[n:])))
+
+
+class TestVertexMeans:
+    """Plain vertex means sit on low-dimensional faces, where the phase-1
+    LP is heavily degenerate; each must come out inside, exactly."""
+
+    def test_cli_on_the_benchmark_degenerate_vector(self, tmp_path):
+        path = tmp_path / "degenerate-n11.json"
+        save_scenario(Scenario("degenerate", "explicit", vector=_vertex_mean(8, 11, 33, 10)), path)
+        proc = subprocess.run([sys.executable, "-m", "bellpoly.cli", "membership", str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "result: inside" in proc.stdout
+        assert "max reconstruction error = 0\n" in proc.stdout
+
+    @pytest.mark.parametrize("n, npairs, k, seeds", [(11, 33, 10, 12), (11, 22, 16, 20),
+                                                     (12, 24, 64, 4)])
+    def test_vertex_means_are_inside(self, n, npairs, k, seeds):
+        for seed in range(seeds):
+            v = _vertex_mean([seed, n, npairs, k], n, npairs, k)
+            result = membership(v)
+            assert result.mode == "float" and result.inside, seed
+            assert result.reconstruction_error(v) == 0

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bellpoly import simplex
+from bellpoly.core import CH_SHAPE, CorrelationVector
 from bellpoly.models import distinguish_events, vessels_scenario
-from bellpoly.pitowsky import enumerate_vertices, membership_problem
-from bellpoly.simplex import FeasibilityProblem, _aligned_zeros, lp_feasible
+from bellpoly.pitowsky import enumerate_vertices, membership, membership_problem
+from bellpoly.simplex import FeasibilityProblem, certified_feasible, lp_feasible
 
 
 def _check_solution(problem, x, tol):
@@ -111,9 +113,132 @@ def test_unknown_mode():
         lp_feasible(FeasibilityProblem(np.array([[1]]), (1,)), "symbolic")
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (24, 2072), (26, 4122)])
-def test_tableau_starts_on_a_64_byte_boundary(shape):
-    for _ in range(5):  # each allocation may land at a different heap offset
-        t = _aligned_zeros(shape)
-        assert t.ctypes.data % 64 == 0
-        assert t.shape == shape and t.flags.c_contiguous and not t.any()
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination in Fractions (the reference)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def test_bareiss_solve_matches_fraction_elimination():
+    rng = np.random.default_rng(5)
+    singular = 0
+    for _ in range(200):
+        m = int(rng.integers(1, 7))
+        mat = rng.integers(-2, 3, size=(m, m)).tolist()
+        rhs = rng.integers(-5, 6, size=m).tolist()
+        det = _fraction_det(mat)
+        solved = simplex._bareiss_solve([row + [r] for row, r in zip(mat, rhs)])
+        if det == 0:
+            singular += 1
+            assert solved is None
+            continue
+        d, z = solved
+        assert abs(d) == abs(det)
+        assert [sum(a * x for a, x in zip(row, z)) for row in mat] == [d * r for r in rhs]
+    assert 0 < singular < 200
+
+
+def test_exact_prices_leave_int64_before_a_sum_can_overflow():
+    a = np.array([[1, 1, 1], [0, 1, -1]], dtype=np.int8)
+    small = simplex._exact_prices(a, [3, -2])
+    assert small.dtype == np.int64 and small.tolist() == [3, 1, 5]
+    assert simplex._exact_prices(a, [2 ** 62, 2 ** 62]).tolist() == [2 ** 62, 2 ** 63, 0]
+
+
+def _vessels_at_n11():
+    """The vessels vector (CH2 = +1, outside) on events 1..4, plus a chain
+    of independent fair events 5..11."""
+    vessels = vessels_scenario().vector
+    chain = tuple((i, i + 1) for i in range(5, 11))
+    half = Fraction(1, 2)
+    return CorrelationVector(
+        11, CH_SHAPE + chain,
+        {**vessels.singles, **{i: half for i in range(5, 12)}},
+        {**vessels.joints, **{p: half * half for p in chain}},
+    )
+
+
+class TestCertificates:
+    def test_farkas_vector_holds_on_every_vertex(self):
+        v = _vessels_at_n11()
+        vertex_set = enumerate_vertices(v.n, v.pairs)
+        problem = membership_problem(v, vertex_set)
+        x, y = certified_feasible(problem.a, problem.b)
+        assert x is None
+        # every column is (1, u): y.(1, u) <= 0 on all 2^11 vertices, y.b > 0
+        columns = np.hstack([np.ones((len(vertex_set), 1), dtype=np.int64),
+                             vertex_set.vertices.astype(np.int64)])
+
+        def holds(y):
+            excess = sum(int(c) * b for c, b in zip(y, problem.b))
+            return int((columns @ np.array(y, dtype=np.int64)).max()) <= 0 and excess > 0
+
+        assert holds(y)
+        flipped = list(y)
+        flipped[0] = -flipped[0]
+        assert int((columns @ np.array(flipped, dtype=np.int64)).max()) > 0
+        for i in np.flatnonzero(y):
+            flipped = list(y)
+            flipped[i] = -flipped[i]
+            assert not holds(flipped), i
+
+    @pytest.mark.parametrize("basis, claim", [("artificial", 0.0), ("artificial", 1.0),
+                                              ("real", 0.0)],
+                             ids=["artificials-claim-inside", "artificials-claim-outside",
+                                  "real-columns-claim-inside"])
+    def test_wrong_float_basis_falls_back_to_exact(self, monkeypatch, basis, claim):
+        # the float rounds end on a wrong basis: the artificials (which
+        # certify neither verdict here), or the first nonsingular set of real
+        # columns (whose exact weights are negative for an outside vector)
+        def wrong(a, rhs, sign, cols, stop):
+            if basis == "artificial":
+                return [a.shape[1] + i for i in range(a.shape[0])], claim
+            picked = []
+            for j in range(a.shape[1]):
+                if np.linalg.matrix_rank(a[:, picked + [j]].astype(float)) > len(picked):
+                    picked.append(j)
+            return picked, claim
+
+        fallbacks = []
+        exact_rounds = simplex._exact_rounds
+
+        def counted(*args):
+            fallbacks.append(args)
+            return exact_rounds(*args)
+
+        monkeypatch.setattr(simplex, "_float_rounds", wrong)
+        monkeypatch.setattr(simplex, "_exact_rounds", counted)
+        inside = distinguish_events(vessels_scenario())
+        result = membership(inside, mode="float")
+        assert result.inside and result.reconstruction_error(inside) == 0
+        assert min(result.certificate) >= 0
+        assert not membership(vessels_scenario().vector, mode="float").inside
+        # the outside vector always needs the fallback; the inside one does
+        # unless the real columns happen to carry it
+        assert len(fallbacks) == 2 or (basis == "real" and len(fallbacks) == 1)
+
+    def test_stalled_master_falls_back_to_exact(self, monkeypatch):
+        def stall(t, basis):
+            raise simplex._Stall
+
+        monkeypatch.setattr(simplex, "_pivot_to_optimum", stall)
+        inside = distinguish_events(vessels_scenario())
+        result = membership(inside, mode="float")
+        assert result.inside and result.reconstruction_error(inside) == 0
+        assert not membership(vessels_scenario().vector, mode="float").inside
+
+    def test_non_integer_matrix_is_solved_exactly(self):
+        x = lp_feasible(FeasibilityProblem(np.array([[0.5, 2.0]]), (0.75,)), "float")
+        assert 0.5 * x[0] + 2 * x[1] == Fraction(3, 4)
