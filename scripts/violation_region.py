@@ -19,7 +19,7 @@ def main():
     args = parser.parse_args()
 
     grid = [i / (args.steps - 1) for i in range(args.steps)]
-    rows = sweep(grid, grid, trials=args.trials, seed=args.seed)
+    rows = list(sweep(grid, grid, trials=args.trials, seed=args.seed))  # read twice below
     by_cell = {(r.rho, r.epsilon): r for r in rows}
 
     print("eps")

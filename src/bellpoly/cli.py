@@ -166,6 +166,7 @@ def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise ValueError("--seed must be nonnegative")
     rho_grid, eps_grid = _uniform_grid(args.rho_steps), _uniform_grid(args.eps_steps)
+    # sweep() checks its arguments on this call, before --out is created; rows come later
     rows = sweep(rho_grid, eps_grid, trials=args.trials, seed=args.seed)
     grid_text = {value: f"{value:.12g}" for value in (*rho_grid, *eps_grid)}
     with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out

@@ -21,7 +21,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -259,14 +259,17 @@ def sweep(
     eps_grid: Sequence[float],
     trials: Optional[int] = None,
     seed: int = 0,
-) -> list[SweepRow]:
+) -> Iterator[SweepRow]:
     """Evaluate the model over a (rho, eps) grid at the CHSH-optimal angles.
 
-    Rows come out in row-major order (rho outer, eps inner). Each row carries
-    the four closed-form expectations, the closed-form CHSH value, a
-    violation flag (value > 2), and a regime tag: "linear" or "saturated"
-    away from the curve eps = sqrt(2)*rho, "boundary" within 1e-9 of it,
-    "degenerate" when rho = 0 or eps = 0.
+    Returns an iterator of `SweepRow`s in row-major order (rho outer, eps
+    inner); each row is computed when it is asked for, so memory does not
+    grow with the grid, and a caller that needs a sequence takes
+    `list(sweep(...))`. The arguments are checked when `sweep` is called,
+    before any row. Each row carries the four closed-form expectations, the
+    closed-form CHSH value, a violation flag (value > 2), and a regime tag:
+    "linear" or "saturated" away from the curve eps = sqrt(2)*rho,
+    "boundary" within 1e-9 of it, "degenerate" when rho = 0 or eps = 0.
 
     With `trials` set, each cell additionally carries a Monte Carlo CHSH
     estimate (four independent runs of `trials` coincidences each) and the
@@ -280,16 +283,21 @@ def sweep(
     for value in (*rho_grid, *eps_grid):
         if not 0.0 <= float(value) <= 1.0:
             raise ValueError(f"grid value {value!r} outside [0, 1]")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials = {trials} must be at least 1")
+    if trials is not None:
+        if trials < 1:
+            raise ValueError(f"trials = {trials} must be at least 1")
+        if not 0 <= seed < 1 << 128:
+            raise ValueError(f"seed = {seed} outside [0, 2**128), the Philox key range")
+    return _sweep_rows([float(rho) for rho in rho_grid], [float(eps) for eps in eps_grid],
+                       trials, seed)
 
+
+def _sweep_rows(rho_grid: list[float], eps_grid: list[float], trials: Optional[int],
+                seed: int) -> Iterator[SweepRow]:
     # keep per-run stream slices even-aligned for the positioning contract
     stride = trials + (trials % 2) if trials else 0
-    eps_grid = [float(eps) for eps in eps_grid]
-    rows = []
     for r_idx, rho in enumerate(rho_grid):
-        rho = float(rho)
-        for e_idx, eps in enumerate(eps_grid):  # the grid is checked above: skip the checks
+        for e_idx, eps in enumerate(eps_grid):  # sweep() checked the grid: skip the checks
             e_ab = _expectation(rho, eps, COS_45)
             chsh = _chsh(rho, eps)
             mc_chsh = mc_stderr = None
@@ -302,7 +310,6 @@ def sweep(
                 mc_chsh = abs(m_ab - m_ab2) + abs(m_a2b + m_a2b2)
                 mc_stderr = math.sqrt(s_ab**2 + s_ab2**2 + s_a2b**2 + s_a2b2**2)
             # a'b and a'b' share ab's cosine (SWEEP_COSINES): e_a2b and e_a2b2 are e_ab itself
-            rows.append(SweepRow._make((rho, eps, e_ab, _expectation(rho, eps, -COS_45), e_ab,
-                                        e_ab, chsh, int(chsh > 2.0 + 1e-12), _regime(rho, eps),
-                                        mc_chsh, mc_stderr)))
-    return rows
+            yield SweepRow._make((rho, eps, e_ab, _expectation(rho, eps, -COS_45), e_ab,
+                                  e_ab, chsh, int(chsh > 2.0 + 1e-12), _regime(rho, eps),
+                                  mc_chsh, mc_stderr))

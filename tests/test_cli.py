@@ -404,13 +404,18 @@ class TestSimulate:
             ["simulate", "--rho", "1", "--eps", "1", "--angle-deg", "inf"],
             ["simulate", "--rho", "1", "--eps", "1", "--trials", "3", "--seed", str(2 ** 128)],
             ["sweep", "--trials", "3", "--seed", str(2 ** 128)],
+            ["sweep", "--trials", "3", "--seed", str(2 ** 128), "--out", "F"],
         ],
-        ids=["angle-inf", "simulate-seed-2^128", "sweep-seed-2^128"],
+        ids=["angle-inf", "simulate-seed-2^128", "sweep-seed-2^128", "sweep-seed-2^128-out"],
     )
-    def test_value_errors_exit_2(self, args):
-        proc = run_cli(*args)
+    def test_value_errors_exit_2(self, args, tmp_path):
+        # refused before any output: nothing on stdout, and no --out file
+        out = tmp_path / "F"
+        proc = run_cli(*(str(out) if a == "F" else a for a in args))
         assert proc.returncode == 2
         assert_one_error_line(proc.stderr)
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 class TestScenarioIO:

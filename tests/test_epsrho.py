@@ -1,6 +1,9 @@
 import math
+import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,7 +367,7 @@ class TestRegime:
 class TestSweep:
     def test_grid_order_and_known_cells(self):
         grid = [i / 20 for i in range(21)]
-        rows = sweep(grid, grid)
+        rows = list(sweep(grid, grid))
         assert len(rows) == 441
         assert (rows[0].rho, rows[0].epsilon) == (0.0, 0.0)
         assert (rows[1].rho, rows[1].epsilon) == (0.0, 0.05)  # eps is the inner loop
@@ -391,7 +394,7 @@ class TestSweep:
         rho_grid = [0.0, 1.0, 0.5, *rng.random(12).tolist()]
         eps_grid = [0.0, -0.0, 1.0, *(SQRT2 * r for r in rho_grid if SQRT2 * r <= 1.0),
                     *rng.random(12).tolist()]
-        rows = sweep(rho_grid, eps_grid)
+        rows = list(sweep(rho_grid, eps_grid))
         assert [(r.rho, r.epsilon) for r in rows] == [(a, b) for a in rho_grid for b in eps_grid]
         assert sum(r.regime == "boundary" for r in rows) >= 4
         for row in rows:
@@ -406,9 +409,9 @@ class TestSweep:
             assert row.e_a2b is row.e_ab and row.e_a2b2 is row.e_ab
 
     def test_monte_carlo_columns(self):
-        rows = sweep([0.0, 1.0], [0.5, 1.0], trials=4000, seed=3)
+        rows = list(sweep([0.0, 1.0], [0.5, 1.0], trials=4000, seed=3))
         assert all(r.mc_chsh is not None and r.mc_stderr is not None for r in rows)
-        rows2 = sweep([0.0, 1.0], [0.5, 1.0], trials=4000, seed=3)
+        rows2 = list(sweep([0.0, 1.0], [0.5, 1.0], trials=4000, seed=3))
         assert rows == rows2
         saturated = next(r for r in rows if r.rho == 1.0 and r.epsilon == 0.5)
         assert saturated.mc_chsh == 4.0 and saturated.mc_stderr == 0.0
@@ -426,6 +429,32 @@ class TestSweep:
             sweep([0.5], [1.5])
         with pytest.raises(ValueError):
             sweep([0.5], [0.5], trials=0)
+        # the seed is a Philox key; it is refused at the call, before the first row
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                sweep([0.5], [0.5], trials=3, seed=seed)
+        sweep([0.5], [0.5], seed=2**128)  # unused without trials, so not checked
+
+    def test_rows_are_not_held(self):
+        # the rows come out one at a time: iterating a 101x101 grid holds a few
+        # rows at most, where the whole list would take ~1.9 MiB
+        grid = [i / 100 for i in range(101)]
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in sweep(grid, grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 101 * 101
+        assert peak < 256 * 1024
+
+    def test_violation_region_script(self):
+        # the script reads the rows twice, so it must take a list of them
+        script = Path(__file__).resolve().parents[1] / "scripts" / "violation_region.py"
+        proc = subprocess.run([sys.executable, str(script), "--steps", "5", "--trials", "200"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "largest |mc_chsh - chsh| = " in proc.stdout
 
 
 class TestParamValidation:
