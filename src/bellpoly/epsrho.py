@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -284,6 +285,7 @@ def sweep(
         if not 0.0 <= float(value) <= 1.0:
             raise ValueError(f"grid value {value!r} outside [0, 1]")
     if trials is not None:
+        trials = operator.index(trials)  # a non-integral count fails here, not at the first row
         if trials < 1:
             raise ValueError(f"trials = {trials} must be at least 1")
         if not 0 <= seed < 1 << 128:

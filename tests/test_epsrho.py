@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -434,6 +435,19 @@ class TestSweep:
             with pytest.raises(ValueError, match="seed"):
                 sweep([0.5], [0.5], trials=3, seed=seed)
         sweep([0.5], [0.5], seed=2**128)  # unused without trials, so not checked
+        # the trial count must be an integer; that too is refused at the call
+        with pytest.raises(TypeError):
+            sweep([0.5], [0.5], trials=2.5)
+        assert len(list(sweep([0.5], [0.5], trials=np.int64(3), seed=np.uint64(7)))) == 1
+
+    def test_full_grid_is_fast(self):
+        # sweep() returns at once, so time the rows themselves: the 21x21 grid
+        # of the acceptance test, iterated to the end
+        grid = [i / 20 for i in range(21)]
+        t0 = time.perf_counter()
+        count = sum(1 for _ in sweep(grid, grid))
+        assert count == 441
+        assert time.perf_counter() - t0 < 5.0
 
     def test_rows_are_not_held(self):
         # the rows come out one at a time: iterating a 101x101 grid holds a few
