@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -35,8 +37,10 @@ SQRT2 = math.sqrt(2.0)
 COS_45 = math.cos(math.pi / 4.0)
 
 #: Monte Carlo trials per fill of each thread's reused buffers; even, so chunk
-#: starts align with the stream (trial i consumes doubles 2i and 2i+1)
-MC_CHUNK = 1 << 16
+#: starts align with the stream (trial i consumes doubles 2i and 2i+1). A
+#: Monte Carlo sweep fills one set per CPU, so two threads' 32 Ki buffers weigh
+#: what one 64 Ki set did; the chunk never changes a sum.
+MC_CHUNK = 1 << 15
 
 _buffers = threading.local()  # each caller thread's draw buffers, reused across calls
 
@@ -172,8 +176,9 @@ def _product_sum(
     -eps + 2*eps*u[2i+1], and the second side is up iff that break point is
     strictly below x (a tie comes out down); at eps = 0 it is up iff x > 0,
     with u[2i+1] < 0.5 as the fair coin at x = 0. So any even-aligned cut of
-    the trials gives the same sum. The run stays on the caller's thread, so
-    its time does not hinge on a second CPU being free.
+    the trials gives the same sum. The run is one serial pass on the caller's
+    thread; a Monte Carlo sweep spreads its grid cells, never one run, over
+    threads, so a run's time does not hinge on a second CPU being free.
     """
     if chunk % 2 or chunk <= 0:
         raise ValueError("chunk size must be a positive even integer")
@@ -217,8 +222,11 @@ def monte_carlo_expectation(
 
     Returns (mean of the +/-1 products, standard error). Deterministic for a
     fixed seed: each trial's draws are derived from (seed, trial index), so
-    the result does not depend on chunking or evaluation order.
+    the result does not depend on chunking or evaluation order. The trial
+    count and the seed must be integers: a float seed would be truncated to
+    another seed's stream.
     """
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError(f"trials = {trials} must be at least 1")
     total = _product_sum(params.rho, params.eps, dirs.cos_ab, trials, seed)
@@ -276,8 +284,11 @@ def sweep(
     estimate (four independent runs of `trials` coincidences each) and the
     root-sum-square of the four standard errors. All cells draw from one
     long Philox(key=seed) stream indexed by a global trial counter, so the
-    output is bit-identical for any chunking, CPU count or evaluation order;
-    each run is one serial pass on the caller's thread.
+    output is bit-identical for any chunking, CPU count or evaluation order.
+    The cells are spread over one thread per usable CPU, a few cells ahead of
+    the row being returned; each of a cell's four runs is one serial pass on
+    its thread. The threads live only while the iterator runs: they are
+    stopped when it is exhausted, closed or left by an exception.
     """
     if len(rho_grid) == 0 or len(eps_grid) == 0:
         raise ValueError("grids must be nonempty")
@@ -285,7 +296,8 @@ def sweep(
         if not 0.0 <= float(value) <= 1.0:
             raise ValueError(f"grid value {value!r} outside [0, 1]")
     if trials is not None:
-        trials = operator.index(trials)  # a non-integral count fails here, not at the first row
+        # a non-integral count or seed fails here, not at the first row
+        trials, seed = operator.index(trials), operator.index(seed)
         if trials < 1:
             raise ValueError(f"trials = {trials} must be at least 1")
         if not 0 <= seed < 1 << 128:
@@ -296,22 +308,53 @@ def sweep(
 
 def _sweep_rows(rho_grid: list[float], eps_grid: list[float], trials: Optional[int],
                 seed: int) -> Iterator[SweepRow]:
+    mc_cells = _mc_cells(rho_grid, eps_grid, trials, seed) if trials else None
+    try:
+        for rho in rho_grid:
+            for eps in eps_grid:  # sweep() checked the grid: skip the checks
+                e_ab = _expectation(rho, eps, COS_45)
+                chsh = _chsh(rho, eps)
+                mc_chsh = mc_stderr = None
+                if trials:
+                    mc_chsh, mc_stderr = next(mc_cells)
+                # a'b and a'b' share ab's cosine (SWEEP_COSINES): e_a2b and e_a2b2 are e_ab itself
+                yield SweepRow._make((rho, eps, e_ab, _expectation(rho, eps, -COS_45), e_ab,
+                                      e_ab, chsh, int(chsh > 2.0 + 1e-12), _regime(rho, eps),
+                                      mc_chsh, mc_stderr))
+    finally:
+        if mc_cells is not None:
+            mc_cells.close()  # stops the cell threads when the rows are closed early
+
+
+def _mc_cell(rho: float, eps: float, cell: int, trials: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo CHSH estimate and its standard error for grid cell `cell`."""
     # keep per-run stream slices even-aligned for the positioning contract
-    stride = trials + (trials % 2) if trials else 0
-    for r_idx, rho in enumerate(rho_grid):
-        for e_idx, eps in enumerate(eps_grid):  # sweep() checked the grid: skip the checks
-            e_ab = _expectation(rho, eps, COS_45)
-            chsh = _chsh(rho, eps)
-            mc_chsh = mc_stderr = None
-            if trials:
-                cell = r_idx * len(eps_grid) + e_idx
-                starts = [(cell * 4 + k) * stride for k in range(len(SWEEP_COSINES))]
-                stats = [_mean_and_stderr(_product_sum(rho, eps, c, trials, seed, b), trials)
-                         for c, b in zip(SWEEP_COSINES, starts)]
-                (m_ab, s_ab), (m_ab2, s_ab2), (m_a2b, s_a2b), (m_a2b2, s_a2b2) = stats
-                mc_chsh = abs(m_ab - m_ab2) + abs(m_a2b + m_a2b2)
-                mc_stderr = math.sqrt(s_ab**2 + s_ab2**2 + s_a2b**2 + s_a2b2**2)
-            # a'b and a'b' share ab's cosine (SWEEP_COSINES): e_a2b and e_a2b2 are e_ab itself
-            yield SweepRow._make((rho, eps, e_ab, _expectation(rho, eps, -COS_45), e_ab,
-                                  e_ab, chsh, int(chsh > 2.0 + 1e-12), _regime(rho, eps),
-                                  mc_chsh, mc_stderr))
+    stride = trials + (trials % 2)
+    # _product_sum is looked up by name on each call, so a wrapper set on the module sees it
+    (m_ab, s_ab), (m_ab2, s_ab2), (m_a2b, s_a2b), (m_a2b2, s_a2b2) = [
+        _mean_and_stderr(_product_sum(rho, eps, c, trials, seed, (cell * 4 + k) * stride), trials)
+        for k, c in enumerate(SWEEP_COSINES)]
+    return (abs(m_ab - m_ab2) + abs(m_a2b + m_a2b2),
+            math.sqrt(s_ab**2 + s_ab2**2 + s_a2b**2 + s_a2b2**2))
+
+
+def _mc_cells(rho_grid: list[float], eps_grid: list[float], trials: int,
+              seed: int) -> Iterator[tuple[float, float]]:
+    """`_mc_cell` of every grid cell in row-major order, computed by one thread
+    per usable CPU, at most 2 * workers cells ahead of the one returned."""
+    from concurrent.futures import ThreadPoolExecutor  # only a Monte Carlo sweep pays for it
+
+    width, cells = len(eps_grid), len(rho_grid) * len(eps_grid)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cells, cpus or 1)
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for cell in range(cells):
+            while len(pending) < 2 * workers and cell + len(pending) < cells:
+                ahead = cell + len(pending)
+                pending.append(pool.submit(_mc_cell, rho_grid[ahead // width],
+                                           eps_grid[ahead % width], ahead, trials, seed))
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # cancels the queued cells, waits for running ones

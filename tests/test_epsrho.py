@@ -1,6 +1,8 @@
+import hashlib
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,13 +14,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.random import Philox
 
+from bellpoly import cli, epsrho
 from bellpoly.core import ValidationError
 from bellpoly.epsrho import (
     COS_45,
     MC_CHUNK,
     SQRT2,
+    SWEEP_COSINES,
     EpsRhoParams,
     MeasurementDirections,
+    _mean_and_stderr,
     _product_sum,
     _regime,
     _right_up,
@@ -184,13 +189,15 @@ class TestStreamContract:
     @pytest.mark.parametrize("rho, eps, cos_ab", EDGE)
     @pytest.mark.parametrize(
         "trials, base_trial, chunk",
+        # chunks are passed explicitly: 1 << 16 is twice MC_CHUNK, and no
+        # chunk changes a sum (the default one is pinned by the sweep bytes)
         [
-            (1, 0, MC_CHUNK),
-            (7, 2, MC_CHUNK),  # odd trial count
+            (1, 0, 1 << 16),
+            (7, 2, 1 << 16),  # odd trial count
             (999, 0, 10),  # not a multiple of the buffer size
-            (MC_CHUNK + 3, 2**40, MC_CHUNK),  # two fills, large base_trial
+            ((1 << 16) + 3, 2**40, 1 << 16),  # two fills, large base_trial
             (16385, 2**62, 998),  # many fills, base_trial near the stream's end
-            (32773, 2**33, MC_CHUNK),  # one fill, odd count, far into the stream
+            (32773, 2**33, 1 << 16),  # one fill, odd count, far into the stream
         ],
     )
     def test_edge_cases(self, rho, eps, cos_ab, trials, base_trial, chunk):
@@ -348,6 +355,16 @@ class TestMonteCarloExpectation:
                 EpsRhoParams(1, 1), MeasurementDirections(0), 10, -1
             )
 
+    def test_non_integral_seed_and_trials_rejected(self):
+        # Philox(key=1.5) would silently draw seed 1's stream
+        p, d = EpsRhoParams(0.9, 0.7), MeasurementDirections(0.25)
+        with pytest.raises(TypeError):
+            monte_carlo_expectation(p, d, 1000, 1.5)
+        with pytest.raises(TypeError):
+            monte_carlo_expectation(p, d, 1000.0, 1)
+        assert monte_carlo_expectation(p, d, np.int64(1000), np.uint64(7)) == (
+            monte_carlo_expectation(p, d, 1000, 7))
+
 
 class TestRegime:
     @pytest.mark.parametrize(
@@ -420,8 +437,10 @@ class TestSweep:
         assert quantum.mc_chsh == pytest.approx(2 * SQRT2, abs=6 * quantum.mc_stderr + 1e-9)
 
     def test_no_trials_leaves_columns_empty(self):
+        before = threading.active_count()  # and the closed-form rows start no thread
         rows = sweep([0.0, 1.0], [0.0, 1.0])
-        assert all(r.mc_chsh is None and r.mc_stderr is None for r in rows)
+        assert all(r.mc_chsh is None and r.mc_stderr is None
+                   and threading.active_count() == before for r in rows)
 
     def test_bad_grids(self):
         with pytest.raises(ValueError):
@@ -438,6 +457,8 @@ class TestSweep:
         # the trial count must be an integer; that too is refused at the call
         with pytest.raises(TypeError):
             sweep([0.5], [0.5], trials=2.5)
+        with pytest.raises(TypeError):
+            sweep([0.5], [0.5], trials=3, seed=1.5)  # would draw seed 1's stream
         assert len(list(sweep([0.5], [0.5], trials=np.int64(3), seed=np.uint64(7)))) == 1
 
     def test_full_grid_is_fast(self):
@@ -462,6 +483,54 @@ class TestSweep:
         assert count == 101 * 101
         assert peak < 256 * 1024
 
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (["--rho-steps", "21", "--eps-steps", "21", "--trials", "100000", "--seed", "7"],
+             "31c55f3027d9f5aa35772cb8ce4be13d00098d87199fe58c33e7fbbfab2936c0"),
+            (["--rho-steps", "7", "--eps-steps", "5", "--trials", "20001", "--seed", "123"],
+             "fceb2c0c142ed4c926efc32a62a71460446485e10e7c533bcf5c347045a6be6b"),
+        ],
+        ids=["mc-21x21", "mc-7x5-odd"],
+    )
+    def test_monte_carlo_pinned_bytes(self, args, sha256):
+        # taken from the serial sweep, before the cells were spread over threads
+        cmd = [sys.executable, "-m", "bellpoly.cli", "sweep", *args]
+        stdout = subprocess.run(cmd, capture_output=True, check=True).stdout
+        assert hashlib.sha256(stdout).hexdigest() == sha256
+
+    def test_monte_carlo_cells_match_serial_reference(self):
+        # each cell's four runs start at (4 * cell + k) * stride of one stream,
+        # with the stride rounded up to even; the threads must not change a bit
+        rho_grid, eps_grid = [0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.5, 0.9, 1.0]
+        trials, seed, stride = 3001, 11, 3002
+        rows = list(sweep(rho_grid, eps_grid, trials=trials, seed=seed))
+        assert [(r.rho, r.epsilon) for r in rows] == [(a, b) for a in rho_grid for b in eps_grid]
+        for cell, row in enumerate(rows):
+            (m0, s0), (m1, s1), (m2, s2), (m3, s3) = [
+                _mean_and_stderr(_product_sum(row.rho, row.epsilon, c, trials, seed,
+                                              (4 * cell + k) * stride), trials)
+                for k, c in enumerate(SWEEP_COSINES)]
+            assert repr(row.mc_chsh) == repr(abs(m0 - m1) + abs(m2 + m3))
+            assert repr(row.mc_stderr) == repr(math.sqrt(s0**2 + s1**2 + s2**2 + s3**2))
+            assert repr(row[:9]) == repr(next(sweep([row.rho], [row.epsilon]))[:9])
+
+    def test_monte_carlo_rows_are_not_held(self):
+        # the Monte Carlo cells run a few ahead of the row returned, never the
+        # whole grid: iterating holds ~0.33 MiB, mostly the _threshold cache,
+        # where the list of these rows would take ~0.75 MiB. tracemalloc slows
+        # each run's Philox set-up ~10x, so the grid is 51x51, not 101x101.
+        grid = [i / 50 for i in range(51)]
+        list(sweep([0.5], [0.5], trials=2))  # the thread pool's imports, outside the trace
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in sweep(grid, grid, trials=2, seed=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 51 * 51
+        assert peak < 512 * 1024
+
     def test_violation_region_script(self):
         # the script reads the rows twice, so it must take a list of them
         script = Path(__file__).resolve().parents[1] / "scripts" / "violation_region.py"
@@ -469,6 +538,48 @@ class TestSweep:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "largest |mc_chsh - chsh| = " in proc.stdout
+
+
+class TestSweepThreads:
+    """No cell thread outlives the rows, and a cell's error reaches the caller."""
+
+    GRID = [i / 20 for i in range(21)]
+
+    def test_closing_after_one_row(self):
+        before = threading.active_count()
+        rows = sweep(self.GRID, self.GRID, trials=20_000, seed=3)
+        assert threading.active_count() == before  # no thread before the first row
+        first = next(rows)
+        assert first.mc_chsh is not None and threading.active_count() > before
+        rows.close()
+        assert threading.active_count() == before
+
+    def test_full_output_exits_4(self, capsys):
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        before = threading.active_count()
+        code = cli.main(["sweep", "--rho-steps", "21", "--eps-steps", "21",
+                         "--trials", "200", "--seed", "1", "--out", "/dev/full"])
+        assert code == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+    def test_cell_error_reaches_caller(self, monkeypatch):
+        failing_start = (4 * 37 + 2) * 1000  # cell 37, third angle
+
+        def product_sum(rho, eps, cos_ab, trials, seed, base_trial=0):
+            if base_trial == failing_start:
+                raise RuntimeError("cell 37 failed")
+            return _product_sum(rho, eps, cos_ab, trials, seed, base_trial)
+
+        monkeypatch.setattr(epsrho, "_product_sum", product_sum)
+        before = threading.active_count()
+        rows = sweep(self.GRID, self.GRID, trials=1000, seed=2)
+        with pytest.raises(RuntimeError, match="cell 37 failed"):
+            for count, _ in enumerate(rows):
+                pass
+        assert count == 36  # every row before the failing cell came out
+        assert threading.active_count() == before
 
 
 class TestParamValidation:
