@@ -28,6 +28,7 @@ from .core import (
     chsh_statistic,
 )
 from .epsrho import (
+    SWEEP_BLOCK,
     EpsRhoParams,
     MeasurementDirections,
     closed_form_expectation,
@@ -168,16 +169,26 @@ def cmd_sweep(args) -> int:
     rho_grid, eps_grid = _uniform_grid(args.rho_steps), _uniform_grid(args.eps_steps)
     # sweep() checks its arguments on this call, before --out is created; rows come later
     rows = sweep(rho_grid, eps_grid, trials=args.trials, seed=args.seed)
-    grid_text = {value: f"{value:.12g}" for value in (*rho_grid, *eps_grid)}
+    # the grid values and the saturated constants (-1, 0, 1, 4) are formatted once
+    grid_text = {value: f"{value:.12g}" for value in (*rho_grid, *eps_grid, -1.0, 4.0)}
+    text = grid_text.get
+    block = min(len(eps_grid), SWEEP_BLOCK)  # rows per write: a grid row, or a block of a wide one
     with (open(args.out, "w", encoding="utf-8", newline="\n") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(CSV_HEADER + (",mc_chsh,mc_stderr\n" if args.trials else "\n"))
+        lines = []
         # sweep() passes e_ab itself as e_a2b and e_a2b2, so it is formatted once
         for rho, eps, e_ab, e_ab2, _, _, chsh, violates, regime, mc_chsh, mc_stderr in rows:
-            ab = f"{e_ab:.12g}"
-            fh.write(f"{grid_text[rho]},{grid_text[eps]},{ab},{e_ab2:.12g},{ab},{ab},"
-                     f"{chsh:.12g},{violates},{regime}"
-                     + (f",{mc_chsh:.12g},{mc_stderr:.12g}\n" if args.trials else "\n"))
+            ab = text(e_ab) or f"{e_ab:.12g}"
+            # at the CHSH angles e_ab2 is -e_ab, whose text is ab without its sign
+            ab2 = ab[1:] if e_ab < 0.0 and e_ab2 == -e_ab else text(e_ab2) or f"{e_ab2:.12g}"
+            lines.append(f"{grid_text[rho]},{grid_text[eps]},{ab},{ab2},{ab},{ab},"
+                         f"{text(chsh) or f'{chsh:.12g}'},{violates},{regime}"
+                         + (f",{mc_chsh:.12g},{mc_stderr:.12g}\n" if args.trials else "\n"))
+            if len(lines) == block:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,9 @@ COS_45 = math.cos(math.pi / 4.0)
 #: Monte Carlo sweep fills one set per CPU, so two threads' 32 Ki buffers weigh
 #: what one 64 Ki set did; the chunk never changes a sum.
 MC_CHUNK = 1 << 15
+
+#: eps values per block of closed-form sweep columns; a wide row is held a block at a time
+SWEEP_BLOCK = 4096
 
 _buffers = threading.local()  # each caller thread's draw buffers, reused across calls
 
@@ -272,9 +276,11 @@ def sweep(
     """Evaluate the model over a (rho, eps) grid at the CHSH-optimal angles.
 
     Returns an iterator of `SweepRow`s in row-major order (rho outer, eps
-    inner); each row is computed when it is asked for, so memory does not
-    grow with the grid, and a caller that needs a sequence takes
-    `list(sweep(...))`. The arguments are checked when `sweep` is called,
+    inner). The closed-form columns are computed in numpy for a block of at
+    most SWEEP_BLOCK eps values of one rho at a time, bit for bit what the
+    scalar functions give, and the block's rows are returned one by one; so
+    memory does not grow with the grid, and a caller that needs a sequence
+    takes `list(sweep(...))`. The arguments are checked when `sweep` is called,
     before any row. Each row carries the four closed-form expectations, the
     closed-form CHSH value, a violation flag (value > 2), and a regime tag:
     "linear" or "saturated" away from the curve eps = sqrt(2)*rho,
@@ -288,7 +294,8 @@ def sweep(
     The cells are spread over one thread per usable CPU, a few cells ahead of
     the row being returned; each of a cell's four runs is one serial pass on
     its thread. The threads live only while the iterator runs: they are
-    stopped when it is exhausted, closed or left by an exception.
+    stopped when it is exhausted, closed or left by an exception. Cells of
+    fewer than MC_CHUNK trials in all stay on the caller's thread.
     """
     if len(rho_grid) == 0 or len(eps_grid) == 0:
         raise ValueError("grids must be nonempty")
@@ -308,22 +315,39 @@ def sweep(
 
 def _sweep_rows(rho_grid: list[float], eps_grid: list[float], trials: Optional[int],
                 seed: int) -> Iterator[SweepRow]:
-    mc_cells = _mc_cells(rho_grid, eps_grid, trials, seed) if trials else None
+    mc_cells = _mc_cells(rho_grid, eps_grid, trials, seed) if trials else repeat((None, None))
     try:
         for rho in rho_grid:
-            for eps in eps_grid:  # sweep() checked the grid: skip the checks
-                e_ab = _expectation(rho, eps, COS_45)
-                chsh = _chsh(rho, eps)
-                mc_chsh = mc_stderr = None
-                if trials:
-                    mc_chsh, mc_stderr = next(mc_cells)
+            for start in range(0, len(eps_grid), SWEEP_BLOCK):
+                eps_block = eps_grid[start:start + SWEEP_BLOCK]
+                columns = _closed_form_columns(rho, np.array(eps_block))
                 # a'b and a'b' share ab's cosine (SWEEP_COSINES): e_a2b and e_a2b2 are e_ab itself
-                yield SweepRow._make((rho, eps, e_ab, _expectation(rho, eps, -COS_45), e_ab,
-                                      e_ab, chsh, int(chsh > 2.0 + 1e-12), _regime(rho, eps),
-                                      mc_chsh, mc_stderr))
+                for eps, e_ab, e_ab2, chsh, violates, regime, (mc_chsh, mc_stderr) in zip(
+                        eps_block, *columns, mc_cells):
+                    # SweepRow._make without its length check: one call less per row
+                    yield tuple.__new__(SweepRow, (rho, eps, e_ab, e_ab2, e_ab, e_ab, chsh,
+                                                   violates, regime, mc_chsh, mc_stderr))
     finally:
-        if mc_cells is not None:
+        if trials:
             mc_cells.close()  # stops the cell threads when the rows are closed early
+
+
+def _closed_form_columns(rho: float, eps: np.ndarray) -> tuple[list, ...]:
+    """e_ab, e_ab2, chsh, violates and regime of one rho over a block of eps, as lists:
+    `_expectation`, `_chsh` and `_regime` bit for bit, by their IEEE operations and branches."""
+    with np.errstate(all="ignore"):  # a branch not taken may divide by 0 or overflow
+        e_ab, e_ab2 = (np.where(eps == 0.0, -1.0 if x > 0.0 else 1.0 if x < 0.0 else 0.0,
+                                np.where(x >= eps, -1.0, np.where(x <= -eps, 1.0,
+                                                                  -x / eps + 0.0)))
+                       for x in (rho * COS_45, rho * -COS_45))
+        chsh = (np.zeros_like(eps) if rho == 0.0
+                else np.where(eps / rho > SQRT2 / 2.0, 2.0 * SQRT2 * rho / eps, 4.0))
+        regime = np.where(np.abs(eps - SQRT2 * rho) <= 1e-9, 0,
+                          np.where((eps == 0.0) | (rho == 0.0), 1,
+                                   np.where(eps / rho <= SQRT2 / 2.0, 2, 3)))
+    tags = np.array(("boundary", "degenerate", "saturated", "linear"), dtype=object)
+    return (e_ab.tolist(), e_ab2.tolist(), chsh.tolist(),
+            (chsh > 2.0 + 1e-12).astype(int).tolist(), tags[regime].tolist())
 
 
 def _mc_cell(rho: float, eps: float, cell: int, trials: int, seed: int) -> tuple[float, float]:
@@ -341,10 +365,15 @@ def _mc_cell(rho: float, eps: float, cell: int, trials: int, seed: int) -> tuple
 def _mc_cells(rho_grid: list[float], eps_grid: list[float], trials: int,
               seed: int) -> Iterator[tuple[float, float]]:
     """`_mc_cell` of every grid cell in row-major order, computed by one thread
-    per usable CPU, at most 2 * workers cells ahead of the one returned."""
-    from concurrent.futures import ThreadPoolExecutor  # only a Monte Carlo sweep pays for it
-
+    per usable CPU, at most 2 * workers cells ahead of the one returned; on the
+    caller's thread when a cell's four runs are shorter than one MC_CHUNK, where
+    a hand-off costs more than the second CPU gives."""
     width, cells = len(eps_grid), len(rho_grid) * len(eps_grid)
+    if 4 * trials < MC_CHUNK:
+        for cell in range(cells):
+            yield _mc_cell(rho_grid[cell // width], eps_grid[cell % width], cell, trials, seed)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays for it
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cells, cpus or 1)
     pool = ThreadPoolExecutor(workers)

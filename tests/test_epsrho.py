@@ -405,16 +405,23 @@ class TestSweep:
             assert row.violates == int(row.epsilon < SQRT2 * row.rho)
 
     def test_matches_public_functions_bit_for_bit(self):
-        # sweep() calls the unchecked cores; a seeded non-uniform grid with the
-        # ends, -0.0 and points on eps = sqrt(2)*rho must give what the checked
-        # public functions give, compared by repr so a zero's sign shows
+        # sweep() computes its columns in numpy, a block of eps at a time; a
+        # seeded non-uniform grid with the ends, -0.0, points on
+        # eps = sqrt(2)*rho and each rho's saturation edges eps = rho*cos 45
+        # and eps/rho = sqrt(2)/2 with their neighbouring floats must give what
+        # the checked public scalar functions give, compared by repr so a
+        # zero's sign shows
         rng = np.random.default_rng(20)
         rho_grid = [0.0, 1.0, 0.5, *rng.random(12).tolist()]
+        edges = {e for r in rho_grid for edge in (r * COS_45, r * SQRT2 / 2.0)
+                 for e in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0))}
         eps_grid = [0.0, -0.0, 1.0, *(SQRT2 * r for r in rho_grid if SQRT2 * r <= 1.0),
-                    *rng.random(12).tolist()]
+                    *sorted(e for e in edges if 0.0 <= e <= 1.0), *rng.random(12).tolist()]
         rows = list(sweep(rho_grid, eps_grid))
         assert [(r.rho, r.epsilon) for r in rows] == [(a, b) for a in rho_grid for b in eps_grid]
         assert sum(r.regime == "boundary" for r in rows) >= 4
+        # cells exactly on the chsh and regime branch test eps/rho = sqrt(2)/2
+        assert sum(r.rho > 0.0 and r.epsilon / r.rho == SQRT2 / 2.0 for r in rows) >= 10
         for row in rows:
             params = EpsRhoParams(row.rho, row.epsilon)
             e_ab = closed_form_expectation(params, C45)
@@ -470,6 +477,19 @@ class TestSweep:
         assert count == 441
         assert time.perf_counter() - t0 < 5.0
 
+    def test_wide_grid_holds_one_block(self):
+        # a 20,001-wide row is computed SWEEP_BLOCK eps at a time: iterating
+        # it peaks at ~1.1 MiB, where the columns of the whole row took ~5.3 MiB
+        rows = sweep([0.0, 0.5], [i / 20000 for i in range(20001)])
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2 * 20001
+        assert peak < 2 * 1024 * 1024
+
     def test_rows_are_not_held(self):
         # the rows come out one at a time: iterating a 101x101 grid holds a few
         # rows at most, where the whole list would take ~1.9 MiB
@@ -505,6 +525,9 @@ class TestSweep:
         rho_grid, eps_grid = [0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.5, 0.9, 1.0]
         trials, seed, stride = 3001, 11, 3002
         rows = list(sweep(rho_grid, eps_grid, trials=trials, seed=seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(epsrho, "MC_CHUNK", 2)  # these short cells then go to the pool too
+            assert repr(rows) == repr(list(sweep(rho_grid, eps_grid, trials=trials, seed=seed)))
         assert [(r.rho, r.epsilon) for r in rows] == [(a, b) for a in rho_grid for b in eps_grid]
         for cell, row in enumerate(rows):
             (m0, s0), (m1, s1), (m2, s2), (m3, s3) = [
@@ -515,11 +538,13 @@ class TestSweep:
             assert repr(row.mc_stderr) == repr(math.sqrt(s0**2 + s1**2 + s2**2 + s3**2))
             assert repr(row[:9]) == repr(next(sweep([row.rho], [row.epsilon]))[:9])
 
-    def test_monte_carlo_rows_are_not_held(self):
+    def test_monte_carlo_rows_are_not_held(self, monkeypatch):
         # the Monte Carlo cells run a few ahead of the row returned, never the
         # whole grid: iterating holds ~0.33 MiB, mostly the _threshold cache,
         # where the list of these rows would take ~0.75 MiB. tracemalloc slows
-        # each run's Philox set-up ~10x, so the grid is 51x51, not 101x101.
+        # each run's Philox set-up ~10x, so the grid is 51x51, not 101x101,
+        # and a chunk of 2 puts its 2-trial cells on the pool.
+        monkeypatch.setattr(epsrho, "MC_CHUNK", 2)
         grid = [i / 50 for i in range(51)]
         list(sweep([0.5], [0.5], trials=2))  # the thread pool's imports, outside the trace
         tracemalloc.start()
@@ -530,6 +555,17 @@ class TestSweep:
             tracemalloc.stop()
         assert count == 51 * 51
         assert peak < 512 * 1024
+
+    def test_short_runs_stay_on_the_callers_thread(self):
+        # a cell's four 2-trial runs are far below one MC_CHUNK: no pool starts
+        grid = [i / 10 for i in range(11)]
+        before = threading.active_count()
+        rows = sweep(grid, grid, trials=2, seed=4)
+        serial = [row for row in rows if threading.active_count() == before]
+        assert len(serial) == 11 * 11
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(epsrho, "MC_CHUNK", 2)
+            assert repr(serial) == repr(list(sweep(grid, grid, trials=2, seed=4)))
 
     def test_violation_region_script(self):
         # the script reads the rows twice, so it must take a list of them
@@ -544,6 +580,12 @@ class TestSweepThreads:
     """No cell thread outlives the rows, and a cell's error reaches the caller."""
 
     GRID = [i / 20 for i in range(21)]
+
+    @pytest.fixture(autouse=True)
+    def threaded(self, monkeypatch):
+        # cells of fewer than MC_CHUNK trials stay on the caller's thread; a
+        # chunk of 2 puts these tests' short cells on the pool
+        monkeypatch.setattr(epsrho, "MC_CHUNK", 2)
 
     def test_closing_after_one_row(self):
         before = threading.active_count()
