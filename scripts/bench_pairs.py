@@ -15,17 +15,22 @@ per-layer ones with --trace 1), it prints each side's median and quartiles
 (statistics.quantiles, inclusive method) and the number of pairs in which the
 change is better, ties counting for neither side. A gain counts as shown when
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the distance between the parent's quartiles. With --json, every run's
-result is written to FILE as well.
+more than the distance between the parent's quartiles. With --json, FILE holds
+every run's result, the summary, the machine (CPUs usable, Python and numpy
+versions) and each checkout's `src/` line count; it is rewritten after each
+pair, so a run that fails leaves the pairs before it on record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -49,6 +54,17 @@ def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int) -> 
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
     return json.loads(lines[-1])
+
+
+def machine() -> dict:
+    """The CPUs this process may use and the versions the runs import."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"nproc": cpus, "python": platform.python_version(), "numpy": metadata.version("numpy")}
+
+
+def src_lines(root: Path) -> int:
+    """Lines of the Python files under the checkout's `src/`."""
+    return sum(len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -89,11 +105,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True, help="N or FIRST-LAST")
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json", type=Path, help="also write every run's result here")
+    parser.add_argument("--json", type=Path, help="write the runs so far here after each pair")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
+    record = {"workload": args.workload, "trace": args.trace, "machine": machine(),
+              "src_lines": {side: src_lines(roots[side]) for side in SIDES}}
 
     runs = []
     for k, seed in enumerate(args.seeds):
@@ -105,6 +123,9 @@ def main(argv=None) -> int:
         print(f"seed {seed}: " + "; ".join(
             f"{side} correct={run[side]['correct']} failed={run[side]['failed']}"
             f"/{run[side]['attempted']}" for side in SIDES), flush=True)
+        if args.json:
+            args.json.write_text(json.dumps({**record, "runs": runs,
+                                             "summary": summarize(runs, better)}, indent=1) + "\n")
 
     summary = summarize(runs, better)
     for name, s in summary.items():
@@ -113,9 +134,6 @@ def main(argv=None) -> int:
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"change better in {s['wins']}/{s['pairs']}"
               + ("  gain shown" if s["gain_shown"] else ""))
-    if args.json:
-        args.json.write_text(json.dumps({"workload": args.workload, "trace": args.trace,
-                                         "runs": runs, "summary": summary}, indent=1) + "\n")
     return 0
 
 

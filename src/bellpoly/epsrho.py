@@ -183,14 +183,22 @@ def _product_sum(
     the trials gives the same sum. The run is one serial pass on the caller's
     thread; a Monte Carlo sweep spreads its grid cells, never one run, over
     threads, so a run's time does not hinge on a second CPU being free.
+
+    A run whose second outcome is fixed by the first (the saturated corner
+    eps <= |rho*cos_ab|, and eps = 0 away from x = 0) has every product equal
+    to -1, or every one to +1, whatever is drawn: it returns -trials or
+    +trials and draws nothing. The doubles it would have read stay its own,
+    so no other run's draws move.
     """
     if chunk % 2 or chunk <= 0:
         raise ValueError("chunk size must be a positive even integer")
     if base_trial % 2:
         raise ValueError("base_trial must be even to align with the stream")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    if not 0 <= seed < 1 << 128:  # Philox's key range, checked here for a run that draws nothing
+        raise ValueError(f"seed = {seed} outside [0, 2**128), the Philox key range")
     t_up, t_dn = _threshold(eps, -rho * cos_ab), _threshold(eps, rho * cos_ab)
+    if {t_up, t_dn} == {0.0, 1.0}:  # u < 1.0 always holds and u < 0.0 never does
+        return trials if t_up == 1.0 else -trials
     size = min(chunk, trials)  # short runs keep short buffers
     u, flags = getattr(_buffers, "arrays", (np.empty(0), None))
     if u.size < 2 * size:
@@ -226,9 +234,11 @@ def monte_carlo_expectation(
 
     Returns (mean of the +/-1 products, standard error). Deterministic for a
     fixed seed: each trial's draws are derived from (seed, trial index), so
-    the result does not depend on chunking or evaluation order. The trial
-    count and the seed must be integers: a float seed would be truncated to
-    another seed's stream.
+    the result does not depend on chunking or evaluation order. A run whose
+    products are all fixed (saturated, or eps = 0 with rho*cos_ab != 0) draws
+    nothing and returns (-1.0, 0.0) or (1.0, 0.0) at once. The trial count
+    and the seed must be integers: a float seed would be truncated to another
+    seed's stream.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
@@ -291,6 +301,8 @@ def sweep(
     root-sum-square of the four standard errors. All cells draw from one
     long Philox(key=seed) stream indexed by a global trial counter, so the
     output is bit-identical for any chunking, CPU count or evaluation order.
+    A run whose products are fixed whatever is drawn takes no draws, but its
+    slice of the stream stays reserved, so no other run's draws move.
     The cells are spread over one thread per usable CPU, a few cells ahead of
     the row being returned; each of a cell's four runs is one serial pass on
     its thread. The threads live only while the iterator runs: they are

@@ -403,10 +403,13 @@ class TestSimulate:
         [
             ["simulate", "--rho", "1", "--eps", "1", "--angle-deg", "inf"],
             ["simulate", "--rho", "1", "--eps", "1", "--trials", "3", "--seed", str(2 ** 128)],
+            # a saturated run draws nothing, and still refuses a seed outside Philox's keys
+            ["simulate", "--rho", "1", "--eps", "0.25", "--trials", "3", "--seed", str(2 ** 128)],
             ["sweep", "--trials", "3", "--seed", str(2 ** 128)],
             ["sweep", "--trials", "3", "--seed", str(2 ** 128), "--out", "F"],
         ],
-        ids=["angle-inf", "simulate-seed-2^128", "sweep-seed-2^128", "sweep-seed-2^128-out"],
+        ids=["angle-inf", "simulate-seed-2^128", "simulate-fixed-seed-2^128", "sweep-seed-2^128",
+             "sweep-seed-2^128-out"],
     )
     def test_value_errors_exit_2(self, args, tmp_path):
         # refused before any output: nothing on stdout, and no --out file

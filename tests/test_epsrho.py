@@ -222,6 +222,34 @@ class TestStreamContract:
             got = _product_sum(rho, eps, cos_ab, trials, seed, base_trial, chunk=chunk)
             assert got == expected, (rho, eps, cos_ab, trials, seed, base_trial, chunk)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("trials, base_trial", [(1, 0), (999, 6), (40001, 2**40)])
+    def test_fixed_runs(self, sign, trials, base_trial):
+        # saturated and eps = 0 runs draw nothing; on and one ulp either side of
+        # rho*|c| = eps the thresholds may or may not be exactly 0 and 1
+        cases = [(1.0, 0.25, C45), (0.5, 0.0, 0.3), (0.5, 0.0, 0.0), (0.0, 0.0, 1.0)]
+        below = math.nextafter(math.nextafter(0.5, 0.0), 0.0)
+        assert _threshold(0.5, below) == 1.0 - 2.0**-53  # one draw short of fixed: it draws
+        cases.append((1.0, 0.5, below))
+        for rho, c in [(0.7, C45), (0.3, 1.0), (1.0, 0.6), (0.55, C45)]:
+            x = rho * c
+            cases += [(rho, eps, c) for eps in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))]
+        for rho, eps, c in cases:
+            expected = clean_room_product_sum(rho, eps, sign * c, trials, 91, base_trial)
+            assert _product_sum(rho, eps, sign * c, trials, 91, base_trial) == expected, (rho, eps, c)
+
+    def test_checks_hold_on_fixed_runs(self):
+        with pytest.raises(ValueError, match="chunk"):
+            _product_sum(1.0, 0.25, C45, 10, 0, chunk=3)
+        with pytest.raises(ValueError, match="base_trial"):
+            _product_sum(1.0, 0.25, C45, 10, 0, base_trial=3)
+        for seed in (-1, 2**128):  # 2**128 is past the Philox key range
+            with pytest.raises(ValueError, match="seed"):
+                _product_sum(1.0, 0.25, C45, 10, seed)
+            with pytest.raises(ValueError, match="seed"):
+                monte_carlo_expectation(EpsRhoParams(0.5, 0.0), MeasurementDirections(0.3), 10, seed)
+        assert _product_sum(1.0, 0.25, C45, 10, 2**128 - 1) == -10
+
     def test_threshold_is_the_exact_cut(self):
         rng = np.random.default_rng(8)
         cases = [(eps, x) for eps in (0.0, 1e-300, 0.25, 1.0) for x in (-0.3, -0.0, 0.0, 0.25)]
@@ -322,6 +350,16 @@ class TestMonteCarloExpectation:
         assert est == -1.0 and se == 0.0
         # the mirrored geometry saturates the other way: always correlated
         assert _product_sum(1.0, 0.25, -C45, 500, 11) == 500
+
+    def test_fixed_run_draws_nothing(self, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a fixed run built a Philox stream")
+
+        monkeypatch.setattr(epsrho, "Philox", no_stream)
+        start = time.perf_counter()
+        assert monte_carlo_expectation(EpsRhoParams(1.0, 0.25), MeasurementDirections.from_angle(
+            math.pi / 4), trials=10**12, seed=0) == (-1.0, 0.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_deterministic_limit_exact(self):
         # eps = 0 with a nonzero projection always anticorrelates
@@ -442,6 +480,26 @@ class TestSweep:
         assert saturated.mc_chsh == 4.0 and saturated.mc_stderr == 0.0
         quantum = next(r for r in rows if r.rho == 1.0 and r.epsilon == 1.0)
         assert quantum.mc_chsh == pytest.approx(2 * SQRT2, abs=6 * quantum.mc_stderr + 1e-9)
+
+    def test_fixed_cells_draw_nothing(self, monkeypatch):
+        # a run is fixed when its thresholds are exactly 0 and 1; only the other
+        # runs build a stream, and a cell whose four runs are fixed reads 4 +- 0
+        streams = []
+
+        def counting_philox(*args, **kwargs):
+            streams.append(kwargs.get("key"))
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(epsrho, "Philox", counting_philox)
+        grid = [i / 20 for i in range(21)]
+        rows = list(sweep(grid, grid, trials=1000, seed=4))
+        fixed = [[{_threshold(r.epsilon, -r.rho * c), _threshold(r.epsilon, r.rho * c)}
+                  == {0.0, 1.0} for c in SWEEP_COSINES] for r in rows]
+        assert sum(map(sum, fixed)) == 636  # of 1,764 runs
+        assert len(streams) == 21 * 21 * 4 - 636 and set(streams) == {4}
+        for row, runs in zip(rows, fixed):
+            if all(runs):
+                assert (row.mc_chsh, row.mc_stderr) == (4.0, 0.0), row
 
     def test_no_trials_leaves_columns_empty(self):
         before = threading.active_count()  # and the closed-form rows start no thread
