@@ -15,10 +15,12 @@ per-layer ones with --trace 1), it prints each side's median and quartiles
 (statistics.quantiles, inclusive method) and the number of pairs in which the
 change is better, ties counting for neither side. A gain counts as shown when
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the distance between the parent's quartiles. With --json, FILE holds
-every run's result, the summary, the machine (CPUs usable, Python and numpy
-versions) and each checkout's `src/` line count; it is rewritten after each
-pair, so a run that fails leaves the pairs before it on record.
+more than the distance between the parent's quartiles. It also counts, per
+side, the runs that reported `correct: false`, such as a traced run whose
+self-time sums fail their check. With --json, FILE holds every run's result,
+the summary, that count, the machine (CPUs usable, Python and numpy versions)
+and each checkout's `src/` line count; it is rewritten after each pair, so a
+run that fails leaves the pairs before it on record.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict[str, dict]:
     return summary
 
 
+def incorrect(runs: list[dict]) -> dict[str, int]:
+    """Per side, the runs that reported `correct: false`."""
+    return {side: sum(not r[side]["correct"] for r in runs) for side in SIDES}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -124,7 +131,7 @@ def main(argv=None) -> int:
             f"{side} correct={run[side]['correct']} failed={run[side]['failed']}"
             f"/{run[side]['attempted']}" for side in SIDES), flush=True)
         if args.json:
-            args.json.write_text(json.dumps({**record, "runs": runs,
+            args.json.write_text(json.dumps({**record, "runs": runs, "incorrect": incorrect(runs),
                                              "summary": summarize(runs, better)}, indent=1) + "\n")
 
     summary = summarize(runs, better)
@@ -134,6 +141,8 @@ def main(argv=None) -> int:
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"change better in {s['wins']}/{s['pairs']}"
               + ("  gain shown" if s["gain_shown"] else ""))
+    print("runs reporting correct: false: " + "; ".join(
+        f"{side} {count}/{len(runs)}" for side, count in incorrect(runs).items()))
     return 0
 
 

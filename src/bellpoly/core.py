@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Prob = Union[int, float, Fraction]
 
@@ -176,53 +176,50 @@ def bell3_vector(p1: Prob, p2: Prob, p3: Prob, p12: Prob, p13: Prob, p23: Prob) 
 
 
 @dataclass(frozen=True)
-class CHCombination:
-    """One sign pattern of the Clauser-Horne combination.
-
-    value = sum of three joints - one joint - two singles; classically the
-    value lies in [-1, 0].
-    """
+class Inequality:
+    """lower <= sum of c * x_key <= upper over integer coefficients c; key i
+    is p_i, key (i, j) is p_ij, and a bound of None is absent."""
 
     name: str
-    plus_pairs: tuple[tuple[int, int], ...]
-    minus_pair: tuple[int, int]
-    minus_singles: tuple[int, int]
+    coeffs: tuple[tuple[Union[int, tuple[int, int]], int], ...]
+    lower: Optional[int] = None
+    upper: Optional[int] = None
 
     @property
     def formula(self) -> str:
-        plus = "+".join(f"p{i}{j}" for i, j in self.plus_pairs)
-        i, j = self.minus_pair
-        a, b = self.minus_singles
-        return f"{plus}-p{i}{j}-p{a}-p{b}"
+        """The left-hand side as text, e.g. p14+p23+p24-p13-p2-p4."""
+        terms = "".join(
+            ("+" if c == 1 else "-" if c == -1 else f"{c:+d}")
+            + (f"p{key}" if isinstance(key, int) else f"p{key[0]}{key[1]}")
+            for key, c in self.coeffs
+        )
+        return terms.removeprefix("+")
 
     def value(self, v: CorrelationVector) -> Prob:
+        """The sum in coefficient order; exact components give an exact value."""
         total: Prob = 0
-        for pair in self.plus_pairs:
-            total = total + v.joints[pair]
-        total = total - v.joints[self.minus_pair]
-        for s in self.minus_singles:
-            total = total - v.singles[s]
+        for key, c in self.coeffs:
+            x = v.singles[key] if isinstance(key, int) else v.joints[key]
+            total = total + x if c == 1 else total - x if c == -1 else total + c * x
         return total
 
 
-#: the four sign patterns, named CH1..CH4. CH2 (p14+p23+p24-p13-p2-p4) is the
-#: combination the plain Clauser-Horne statistic uses by default.
-CH_COMBINATIONS: tuple[CHCombination, ...] = (
-    CHCombination("CH1", ((1, 3), (1, 4), (2, 4)), (2, 3), (1, 4)),
-    CHCombination("CH2", ((1, 4), (2, 3), (2, 4)), (1, 3), (2, 4)),
-    CHCombination("CH3", ((1, 3), (1, 4), (2, 3)), (2, 4), (1, 3)),
-    CHCombination("CH4", ((1, 3), (2, 3), (2, 4)), (1, 4), (2, 3)),
+#: the four sign patterns CH1..CH4 of the Clauser-Horne combination, classically
+#: in [-1, 0]. CH2 (p14+p23+p24-p13-p2-p4) is the plain statistic's default.
+CH_COMBINATIONS: tuple[Inequality, ...] = (
+    Inequality("CH1", (((1, 3), 1), ((1, 4), 1), ((2, 4), 1), ((2, 3), -1), (1, -1), (4, -1)), -1, 0),
+    Inequality("CH2", (((1, 4), 1), ((2, 3), 1), ((2, 4), 1), ((1, 3), -1), (2, -1), (4, -1)), -1, 0),
+    Inequality("CH3", (((1, 3), 1), ((1, 4), 1), ((2, 3), 1), ((2, 4), -1), (1, -1), (3, -1)), -1, 0),
+    Inequality("CH4", (((1, 3), 1), ((2, 3), 1), ((2, 4), 1), ((1, 4), -1), (2, -1), (3, -1)), -1, 0),
 )
 
 CH_BY_NAME = {c.name: c for c in CH_COMBINATIONS}
 
-DEFAULT_CH_COMBINATION = CH_BY_NAME["CH2"]
 
-
-def resolve_ch_combination(combination: Union[str, CHCombination, None]) -> CHCombination:
+def resolve_ch_combination(combination: Union[str, Inequality, None]) -> Inequality:
     if combination is None:
-        return DEFAULT_CH_COMBINATION
-    if isinstance(combination, CHCombination):
+        return CH_BY_NAME["CH2"]
+    if isinstance(combination, Inequality):
         return combination
     name = str(combination).upper()
     if name not in CH_BY_NAME:
@@ -231,7 +228,7 @@ def resolve_ch_combination(combination: Union[str, CHCombination, None]) -> CHCo
 
 
 def clauser_horne_statistic(
-    v: CorrelationVector, combination: Union[str, CHCombination, None] = None
+    v: CorrelationVector, combination: Union[str, Inequality, None] = None
 ) -> Prob:
     """Signed Clauser-Horne sum for one of the CH1..CH4 sign patterns.
 

@@ -8,7 +8,9 @@ mu(A_i and A_j) = p_ij. Membership is decided by phase-1 simplex over the
 2^n deterministic 0/1 assignment vertices rather than by facet enumeration,
 so it works for any (n, S) within the capacity guard; named facets are
 reported only for the two shapes whose complete inequality lists are known
-here (n=4 coincidence shape, n=3 full shape).
+here (n=4 coincidence shape, n=3 full shape). Those lists are data, integer
+`core.Inequality` rows judged by one function: exactly on exact values, and
+within TOL only on float values.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     CH_SHAPE,
     CapacityError,
     CorrelationVector,
+    Inequality,
     Prob,
     ShapeError,
     TOL,
@@ -115,29 +118,52 @@ class InequalityResult:
         return amount
 
 
-def _ineq(
-    name: str, value: Prob, lower: Optional[Prob], upper: Optional[Prob], facet: bool = False
-) -> InequalityResult:
-    ok = True
-    if lower is not None and value < lower - TOL:
-        ok = False
-    if upper is not None and value > upper + TOL:
-        ok = False
-    return InequalityResult(name, value, lower, upper, ok, facet)
+def _bound_inequalities(n: int, pairs: Sequence[tuple[int, int]]) -> list[Inequality]:
+    """p_i <= 1, and the four conditions under which a pair {i, j} admits a
+    probability space."""
+    out = [Inequality(f"p{i}<=1", ((i, 1),), upper=1) for i in range(1, n + 1)]
+    for i, j in pairs:
+        ij = f"p{i}{j}"
+        out += [
+            Inequality(f"0<={ij}", (((i, j), 1),), lower=0),
+            Inequality(f"{ij}<=p{i}", ((i, 1), ((i, j), -1)), lower=0),
+            Inequality(f"{ij}<=p{j}", ((j, 1), ((i, j), -1)), lower=0),
+            Inequality(f"p{i}+p{j}-{ij}<=1", ((i, 1), (j, 1), ((i, j), -1)), upper=1),
+        ]
+    return out
 
 
-def _bound_inequalities(v: CorrelationVector) -> list[InequalityResult]:
-    out = [
-        _ineq(f"p{i}<=1", v.singles[i], None, 1) for i in range(1, v.n + 1)
-    ]
-    for i, j in v.pairs:
-        pij = v.joints[(i, j)]
-        out.append(_ineq(f"0<=p{i}{j}", pij, 0, None))
-        out.append(_ineq(f"p{i}{j}<=p{i}", v.singles[i] - pij, 0, None))
-        out.append(_ineq(f"p{i}{j}<=p{j}", v.singles[j] - pij, 0, None))
-        out.append(
-            _ineq(f"p{i}+p{j}-p{i}{j}<=1", v.singles[i] + v.singles[j] - pij, None, 1)
-        )
+def _bell3_facet(label: str, coeffs, lower: Optional[int] = None,
+                 upper: Optional[int] = None) -> Inequality:
+    """An n=3 facet named by its label, formula and bound."""
+    bound = f"<={upper}" if upper is not None else f">={lower}"
+    return Inequality(f"{label}:{Inequality('', coeffs).formula}{bound}", coeffs, lower, upper)
+
+
+#: the facets of C(3, S) beyond the bounds: the sum inequality B1 and the
+#: three cyclic facets B2..B4. The cyclic facets hold with >= 0: every
+#: deterministic assignment satisfies them with equality or slack (e.g.
+#: eps = (1,0,0) gives value 1), so the opposite orientation would exclude
+#: vertices of the polytope itself.
+BELL3_FACETS: tuple[Inequality, ...] = (
+    _bell3_facet("B1", ((1, 1), (2, 1), (3, 1), ((1, 2), -1), ((1, 3), -1), ((2, 3), -1)),
+                 upper=1),
+    _bell3_facet("B2", ((1, 1), ((1, 2), -1), ((1, 3), -1), ((2, 3), 1)), lower=0),
+    _bell3_facet("B3", ((2, 1), ((1, 2), -1), ((2, 3), -1), ((1, 3), 1)), lower=0),
+    _bell3_facet("B4", ((3, 1), ((1, 3), -1), ((2, 3), -1), ((1, 2), 1)), lower=0),
+)
+
+
+def _evaluate(v: CorrelationVector, facets: Sequence[Inequality]) -> list[InequalityResult]:
+    """The bounds of the vector's shape, then the facets, each judged on the
+    vector: exactly when its value is exact, within TOL when it is a float."""
+    out = []
+    for ineq in (*_bound_inequalities(v.n, v.pairs), *facets):
+        value = ineq.value(v)
+        tol = TOL if isinstance(value, float) else 0
+        ok = (ineq.lower is None or value >= ineq.lower - tol) and (
+            ineq.upper is None or value <= ineq.upper + tol)
+        out.append(InequalityResult(ineq.name, value, ineq.lower, ineq.upper, ok, ineq in facets))
     return out
 
 
@@ -149,40 +175,14 @@ def ch_inequality_set(v: CorrelationVector) -> list[InequalityResult]:
     satisfies all of them iff membership() reports inside.
     """
     require_shape(v, 4, CH_SHAPE)
-    out = _bound_inequalities(v)
-    for comb in CH_COMBINATIONS:
-        out.append(_ineq(comb.name, comb.value(v), -1, 0, facet=True))
-    return out
+    return _evaluate(v, CH_COMBINATIONS)
 
 
 def bell_inequality_set_n3(v: CorrelationVector) -> list[InequalityResult]:
-    """Complete inequality list for the n=3 full-pair shape.
-
-    Bound constraints, the sum inequality p1+p2+p3-p12-p13-p23 <= 1 (B1), and
-    the three cyclic facets p_i - p_ij - p_ik + p_jk >= 0 (B2..B4). Note the
-    cyclic facets hold with >= 0: every deterministic assignment satisfies
-    them with equality or slack (e.g. eps = (1,0,0) gives value 1), so the
-    opposite orientation would exclude vertices of the polytope itself.
-    """
+    """Complete inequality list for the n=3 full-pair shape: bound
+    constraints and the facets B1..B4 of BELL3_FACETS."""
     require_shape(v, 3, BELL3_SHAPE)
-    out = _bound_inequalities(v)
-    p = v.singles
-    q = v.joints
-    out.append(
-        _ineq(
-            "B1:p1+p2+p3-p12-p13-p23<=1",
-            p[1] + p[2] + p[3] - q[(1, 2)] - q[(1, 3)] - q[(2, 3)],
-            None, 1, facet=True,
-        )
-    )
-    cyclic = (
-        ("B2:p1-p12-p13+p23>=0", p[1] - q[(1, 2)] - q[(1, 3)] + q[(2, 3)]),
-        ("B3:p2-p12-p23+p13>=0", p[2] - q[(1, 2)] - q[(2, 3)] + q[(1, 3)]),
-        ("B4:p3-p13-p23+p12>=0", p[3] - q[(1, 3)] - q[(2, 3)] + q[(1, 2)]),
-    )
-    for name, value in cyclic:
-        out.append(_ineq(name, value, 0, None, facet=True))
-    return out
+    return _evaluate(v, BELL3_FACETS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,15 +229,14 @@ def _violated_facet(v: CorrelationVector) -> Optional[InequalityResult]:
     else:
         return None
     violated = [r for r in results if not r.satisfied]
-    if not violated:
-        return None
-    return max(violated, key=lambda r: (r.violation(), r.facet))
+    return max(violated, key=lambda r: (r.violation(), r.facet), default=None)
 
 
 def membership(v: CorrelationVector, mode: Optional[str] = None) -> MembershipResult:
     """Decide whether the vector lies in C(n, S).
 
-    mode "exact" pivots a dense rational tableau over all 2^n vertices.
+    mode "exact" is the exact master of the float mode's fallback started
+    from all 2^n vertex columns: Bland pivots on a dense rational tableau.
     mode "float" means float pricing with an exact certificate: column
     generation on a small float master, then an exact check of its final
     basis (exact convex weights for inside, an integer separating vector

@@ -12,9 +12,11 @@ artificial variables. Two modes:
   vector y with y.b > 0 and y.A <= 0 on every column. If neither check
   passes, exact Bland pivoting on the restricted master, priced exactly,
   takes over; it terminates. The verdict is rigorous either way and the
-  weights are Fractions. A non-integer A goes to the exact mode.
-- "exact": a dense `fractions.Fraction` tableau over all columns under
-  Bland's rule, which guarantees termination.
+  weights are Fractions.
+- "exact": that exact master started from every column of A, so one dense
+  `fractions.Fraction` tableau under Bland's rule, which terminates.
+
+A is an integer matrix; b is taken at its exact value.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ _ZERO = Fraction(0)
 class FeasibilityProblem:
     """Equality system A x = b with x >= 0 on every variable.
 
-    `a` may be any 2-D array-like with numeric entries (integers stay exact
-    in exact mode); `b` is the right-hand side, one entry per row.
+    `a` is a 2-D array-like of integers; `b` is the right-hand side, one
+    entry per row.
     """
 
     a: np.ndarray
@@ -50,6 +52,8 @@ class FeasibilityProblem:
         a = np.asarray(self.a)
         if a.ndim != 2:
             raise ValueError("constraint matrix must be 2-D")
+        if a.dtype.kind not in "biu":
+            raise ValueError(f"constraint matrix must be integer, not {a.dtype}")
         if a.shape[0] != len(self.b):
             raise ValueError(
                 f"dimension mismatch: {a.shape[0]} rows vs {len(self.b)} right-hand sides"
@@ -60,12 +64,12 @@ class FeasibilityProblem:
 
 def lp_feasible(
     problem: FeasibilityProblem, mode: str = "float"
-) -> Optional[list[Prob]]:
+) -> Optional[list[Fraction]]:
     """Nonnegative solution of the equality system, or None if infeasible."""
-    if mode == "float" and problem.a.dtype.kind in "biu":
+    if mode == "float":
         return certified_feasible(problem.a, problem.b)[0]
-    if mode in ("float", "exact"):  # a non-integer A has no integer certificate
-        return _feasible_exact(problem.a, problem.b)
+    if mode == "exact":
+        return _exact_rounds(problem.a, problem.b, range(problem.a.shape[1]))[0]
     raise ValueError(f"unknown mode {mode!r}; expected 'float' or 'exact'")
 
 
@@ -276,7 +280,7 @@ def _exact_prices(a: np.ndarray, y: list[int]) -> np.ndarray:
     return np.array(y, dtype=object) @ a.astype(object)
 
 
-def _exact_rounds(a: np.ndarray, b: list[Fraction], cols: list[int]):
+def _exact_rounds(a: np.ndarray, b: Sequence[Prob], cols: Sequence[int]):
     """Column generation with an exact Bland master and exact pricing, in
     the return convention of certified_feasible. Every round adds a column
     the master does not hold, so it terminates."""
@@ -293,15 +297,13 @@ def _exact_rounds(a: np.ndarray, b: list[Fraction], cols: list[int]):
         denominator = math.lcm(*(v.denominator for v in y))
         y = _primitive([int(v * denominator) for v in y])
         price = _exact_prices(a, y)
-        candidates = np.setdiff1d(np.flatnonzero(price > 0), cols)
+        positive = price > 0  # a mask: np.setdiff1d would import numpy.ma
+        positive[cols] = False
+        candidates = np.flatnonzero(positive)
         if not candidates.size:
             return None, y
         order = np.argsort(-price[candidates].astype(float), kind="stable")
         cols.extend(candidates[order[:take]].tolist())
-
-
-def _feasible_exact(a: np.ndarray, b: Sequence[Prob]) -> Optional[list[Fraction]]:
-    return _bland_phase1(a, b)[0]
 
 
 def _bland_phase1(

@@ -84,3 +84,16 @@ def test_json_records_the_machine_and_src_lines(tmp_path, monkeypatch):
     assert set(record["machine"]) == {"nproc", "python", "numpy"}
     assert record["machine"]["nproc"] >= 1
     assert record["machine"]["numpy"] == np.__version__
+
+
+def test_runs_reporting_incorrect_are_counted_per_side(tmp_path, monkeypatch, capsys):
+    parent = checkout(tmp_path / "parent", "a = 1\n")
+    change = checkout(tmp_path / "change", "a = 1\n")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, workload, seed, *rest: {
+        "correct": root.name == "parent" or seed != 11, "failed": 0, "attempted": 3,
+        **run(0.5, 38.0)})
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "10-12",
+                             "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["incorrect"] == {"parent": 0, "change": 1}
+    assert "runs reporting correct: false: parent 0/3; change 1/3\n" in capsys.readouterr().out

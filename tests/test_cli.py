@@ -166,6 +166,17 @@ class TestMembership:
         proc = run_cli("membership", path, "--exact")
         assert proc.returncode == 0
 
+    def test_rational_ch2_just_above_zero_is_named(self, tmp_path, capsys):
+        half, tiny = Fraction(1, 2), Fraction(1, 10 ** 10)
+        v = ch_shape_vector(half, half, half, half, half - tiny, half, half, half)
+        path = write_scenario(tmp_path, "ch2.json", Scenario("ch2", "explicit", vector=v))
+        assert main(["evaluate", path]) == 0
+        assert "  CH2  p14+p23+p24-p13-p2-p4 = 1/10000000000  VIOLATED\n" in capsys.readouterr().out
+        for exact in ([], ["--exact"]):
+            assert main(["membership", path, *exact]) == 1
+            assert ("violated facet: CH2 = 1/10000000000 (allowed [-1, 0])\n"
+                    in capsys.readouterr().out)
+
     def test_capacity_exit_code(self, tmp_path):
         scenario = Scenario(
             "big", "explicit",

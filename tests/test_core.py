@@ -9,6 +9,7 @@ from bellpoly.core import (
     CH_BY_NAME,
     CorrelationVector,
     ExpectationSet,
+    Inequality,
     Scenario,
     ShapeError,
     ValidationError,
@@ -75,6 +76,12 @@ class TestClauserHorneStatistic:
     def test_default_is_ch2(self):
         assert resolve_ch_combination(None) is CH_BY_NAME["CH2"]
         assert CH_BY_NAME["CH2"].formula == "p14+p23+p24-p13-p2-p4"
+
+    def test_general_integer_coefficients(self):
+        ineq = Inequality("x", ((1, 2), ((1, 3), -3), (4, 1)), upper=0)
+        assert ineq.formula == "2p1-3p13+p4"
+        assert ineq.value(VESSELS) == 2 * VESSELS.singles[1] - 3 * VESSELS.joints[(1, 3)] + \
+            VESSELS.singles[4]
 
     def test_combination_names(self):
         values = {

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly.core import (
+    BELL3_SHAPE,
     CH_COMBINATIONS,
     CH_SHAPE,
     CapacityError,
@@ -26,6 +27,7 @@ from bellpoly.models import (
     vessels_scenario,
 )
 from bellpoly.pitowsky import (
+    BELL3_FACETS,
     KolmogorovRep,
     NoRepresentationError,
     bell_inequality_set_n3,
@@ -296,6 +298,60 @@ class TestBellInequalitySetN3:
             bell_inequality_set_n3(vessels_scenario().vector)
 
 
+TINY = Fraction(1, 10 ** 10)
+
+
+class TestExactJudgement:
+    """The inequality lists judge exact values exactly, and float values
+    within core.TOL."""
+
+    def test_rational_ch2_just_above_zero_is_violated(self):
+        v = ch_shape_vector(HALF, HALF, HALF, HALF, HALF - TINY, HALF, HALF, HALF)
+        ch2 = {r.name: r for r in ch_inequality_set(v)}["CH2"]
+        assert ch2.value == TINY and not ch2.satisfied
+        result = membership(v)
+        assert not result.inside and result.violated_facet == ch2
+
+    def test_rational_b1_just_above_one_is_violated(self):
+        joint = Fraction(1, 6) - TINY / 3
+        v = bell3_vector(HALF, HALF, HALF, joint, joint, joint)
+        violated = [r for r in bell_inequality_set_n3(v) if not r.satisfied]
+        assert [(r.name, r.value) for r in violated] == [(BELL3_FACETS[0].name, 1 + TINY)]
+        assert membership(v).violated_facet == violated[0]
+
+    def test_float_just_over_a_bound_reads_satisfied(self):
+        v = ch_shape_vector(0.5, 0.5, 0.5, 0.5, 0.5 + 1e-10, 0.25, 0.25, 0.25)
+        results = {r.name: r for r in ch_inequality_set(v)}
+        assert results["p13<=p1"].value < 0 and results["p13<=p1"].satisfied
+
+    def test_rational_points_within_1e9_of_a_facet(self):
+        # a random point of a face of a CH or B facet, moved up to 1e-9 of
+        # the way towards the polytope's center or away from it
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for shape, facets, inequality_set in ((CH_SHAPE, CH_COMBINATIONS, ch_inequality_set),
+                                              (BELL3_SHAPE, BELL3_FACETS, bell_inequality_set_n3)):
+            n = shape[-1][1]
+            verts = enumerate_vertices(n, shape).vertices.astype(np.int64)
+            keys = [*range(1, n + 1), *shape]
+            center = [Fraction(int(s), len(verts)) for s in verts.sum(axis=0)]
+            for facet in facets:
+                a = np.array([dict(facet.coeffs).get(key, 0) for key in keys])
+                for bound in (b for b in (facet.lower, facet.upper) if b is not None):
+                    tight = verts[verts @ a == bound]
+                    for _ in range(10):
+                        w = rng.integers(1, 10, size=len(tight))
+                        face = [Fraction(int(s), int(w.sum())) for s in w @ tight]
+                        step = Fraction(int(rng.integers(-1000, 1001)), 10 ** 12)
+                        point = [f + step * (c - f) for f, c in zip(face, center)]
+                        v = CorrelationVector(n, shape, dict(enumerate(point[:n], 1)),
+                                              dict(zip(shape, point[n:])))
+                        inside = membership(v, mode="exact").inside
+                        assert all(r.satisfied for r in inequality_set(v)) == inside
+                        verdicts.append(inside)
+        assert True in verdicts and False in verdicts
+
+
 class TestProductRepresentation:
     def test_pair_atom_weights_fair(self):
         assert pair_atom_weights(HALF, HALF, Fraction(1, 4)) == (
@@ -518,18 +574,17 @@ class TestLinprogOracle:
                     assert _highs_residual(vertex_set, point) <= 1e-9
 
 
-#: a.x <= bound over the component keys: CH1..CH4 <= 0 from core, and
-#: B1..B4 of bell_inequality_set_n3 on the triangle 5-6-7
+def _shifted(key, by):
+    return key + by if isinstance(key, int) else (key[0] + by, key[1] + by)
+
+
+#: a.x = bound on the facet, over the component keys: CH1..CH4 = 0 from
+#: core, and B1..B4 of pitowsky relabelled to the triangle 5-6-7
 _FACETS = {
-    **{
-        c.name: ({**{p: 1 for p in c.plus_pairs}, c.minus_pair: -1,
-                  **{i: -1 for i in c.minus_singles}}, 0)
-        for c in CH_COMBINATIONS
-    },
-    "B1": ({5: 1, 6: 1, 7: 1, (5, 6): -1, (5, 7): -1, (6, 7): -1}, 1),
-    "B2": ({5: -1, (5, 6): 1, (5, 7): 1, (6, 7): -1}, 0),
-    "B3": ({6: -1, (5, 6): 1, (6, 7): 1, (5, 7): -1}, 0),
-    "B4": ({7: -1, (5, 7): 1, (6, 7): 1, (5, 6): -1}, 0),
+    **{c.name: (dict(c.coeffs), 0) for c in CH_COMBINATIONS},
+    **{b.name.partition(":")[0]: ({_shifted(k, 4): c for k, c in b.coeffs},
+                                  b.lower if b.upper is None else b.upper)
+       for b in BELL3_FACETS},
 }
 
 

@@ -80,10 +80,12 @@ class TestExactMode:
         ]
         assert recon == [Fraction(x) for x in problem.b]
 
-    def test_float_inputs_become_exact(self):
-        x = lp_feasible(FeasibilityProblem(np.array([[1.0, 2.0]]), (0.75,)), "exact")
-        total = x[0] + 2 * x[1]
-        assert isinstance(total, Fraction) and total == Fraction(3, 4)
+    def test_float_matrix_refused_and_float_rhs_exact(self):
+        with pytest.raises(ValueError, match="integer"):
+            FeasibilityProblem(np.array([[0.5, 2.0]]), (0.75,))
+        for mode in ("float", "exact"):
+            x = lp_feasible(FeasibilityProblem(np.array([[1, 2]]), (0.75,)), mode)
+            assert all(isinstance(w, Fraction) for w in x) and x[0] + 2 * x[1] == Fraction(3, 4)
 
     def test_heavily_degenerate_system_terminates(self):
         # many zero right-hand sides force degenerate pivots; Bland's rule
@@ -238,7 +240,3 @@ class TestCertificates:
         result = membership(inside, mode="float")
         assert result.inside and result.reconstruction_error(inside) == 0
         assert not membership(vessels_scenario().vector, mode="float").inside
-
-    def test_non_integer_matrix_is_solved_exactly(self):
-        x = lp_feasible(FeasibilityProblem(np.array([[0.5, 2.0]]), (0.75,)), "float")
-        assert 0.5 * x[0] + 2 * x[1] == Fraction(3, 4)
