@@ -80,12 +80,14 @@ class TestExactMode:
         ]
         assert recon == [Fraction(x) for x in problem.b]
 
-    def test_float_matrix_refused_and_float_rhs_exact(self):
-        with pytest.raises(ValueError, match="integer"):
-            FeasibilityProblem(np.array([[0.5, 2.0]]), (0.75,))
+    def test_float_inputs_become_exact(self):
         for mode in ("float", "exact"):
             x = lp_feasible(FeasibilityProblem(np.array([[1, 2]]), (0.75,)), mode)
             assert all(isinstance(w, Fraction) for w in x) and x[0] + 2 * x[1] == Fraction(3, 4)
+
+    def test_non_integer_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            FeasibilityProblem(np.array([[0.5, 2.0]]), (0.75,))
 
     def test_heavily_degenerate_system_terminates(self):
         # many zero right-hand sides force degenerate pivots; Bland's rule
